@@ -7,10 +7,12 @@ the downstream search tree.  This package finds orders minimizing either
 the number of doubles or the implied tree node count, via a brute-force
 oracle, a branch-and-bound solver, and two master/subproblem
 decompositions, plus presolve reductions, LP model export, instance
-generators, and a benchmark harness.
+generators, and a benchmark harness.  Every solver route takes
+SolveOptions and returns a Solution with its SolveStats; those shared
+types live in `solution`.
 """
 
-from .dfs_solver import Solution, SolveOptions, SolveStats, solve, validate_formulation
+from .dfs_solver import solve, validate_formulation
 from .graph import (
     DisconnectedGraphError,
     Instance,
@@ -48,8 +50,8 @@ from .order import (
     parse_solution,
 )
 from .presolve import PresolveResult, full_presolve
+from .solution import Solution, SolveOptions, SolveStats
 from .witness_decomp import (
-    WitnessOptions,
     WitnessState,
     ef_validate,
     induce_witness_state,
@@ -76,7 +78,6 @@ __all__ = [
     "SolveStats",
     "UsageError",
     "VertexOrder",
-    "WitnessOptions",
     "WitnessState",
     "bench_csv",
     "brute_optimum",

@@ -14,11 +14,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .dfs_solver import Solution
-from .graph import Instance, ParseError, parse_instance
+from .graph import Instance, parse_instance
 from .harness import (
     METHODS,
-    UsageError,
     bench_csv,
     parse_bench_csv,
     perf_profile,
@@ -26,11 +24,12 @@ from .harness import (
     run_bench,
     solve_with_method,
 )
-from .instgen import GenerationError, random_instance_text, synthetic_instance_text
+from .instgen import random_instance_text, synthetic_instance_text
 from .modelgen import MODELS, export, summary_csv
-from .oracle import CapExceededError, DEFAULT_CAP, objective_image_and_pareto
+from .oracle import DEFAULT_CAP, objective_image_and_pareto
 from .order import check_order, format_solution
 from .presolve import full_presolve, DEFAULT_CLIQUE_BUDGET
+from .solution import Solution
 
 OBJECTIVE_MAP = {"double": "min-double", "nodes": "min-nodes"}
 PRE_BREAK_MAP = {"none": "none", "2": "2cycles", "23": "2and3cycles"}
@@ -271,13 +270,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return HANDLERS[ns.command](ns)
-    except (ParseError, GenerationError, UsageError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ParseError, GenerationError, UsageError and CapExceededError
+        # are all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

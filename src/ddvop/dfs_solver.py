@@ -8,7 +8,7 @@ neighbors.  A vertex placed with exactly K placed neighbors is a
 double, which drives both objective bounds.  Presolve fixings and
 cover inequalities prune ranks where the double bit is forced.
 
-This module also owns the shared solver result types and the
+The shared result types live in `solution`; this module also holds the
 formulation validator used by the property tests: given an order and a
 double pattern, check them against each of the four static formulations
 of the problem (rank-assignment integer program, rank-variable
@@ -19,56 +19,13 @@ channeled model).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .graph import Instance
-from .oracle import OBJECTIVES
 from .order import DoublePattern, VertexOrder, check_order, greedy_dvop
 from .presolve import PresolveResult, full_presolve
+from .solution import OBJECTIVES, Deadline, Solution, SolveOptions, SolveStats
 
 MODELS = ("IP", "CP-RANK", "CP-VERTEX", "CP-COMBINED")
-
-
-class Deadline:
-    """Cooperative wall-clock budget; expired() is safe to call anywhere."""
-
-    def __init__(self, seconds: float | None):
-        self._end = None if seconds is None else time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        return self._end is not None and time.monotonic() >= self._end
-
-
-@dataclass
-class SolveStats:
-    choice_points: int = 0
-    time_ms: float = 0.0
-    cuts: int = 0
-    cliques_considered: int = 0
-    iterations: int = 0
-    iis_time_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    time_limit: float | None = None
-    use_presolve: bool = True
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Outcome of one solver run.
-
-    status is OPTIMAL, INFEASIBLE, or TIMEOUT.  On TIMEOUT the incumbent
-    fields carry the best known order, or None when none was found; on
-    INFEASIBLE they are all None.
-    """
-
-    status: str
-    objective: int | None
-    order: VertexOrder | None
-    doubles: DoublePattern | None
-    stats: SolveStats = field(default_factory=SolveStats)
 
 
 def solve(
@@ -77,14 +34,20 @@ def solve(
     """Exact branch and bound for either objective."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
-    deadline = Deadline(opts.time_limit)
+    try:
+        return _branch_and_bound(inst, objective, opts or SolveOptions(), stats)
+    finally:
+        stats.time_ms = (time.monotonic() - t0) * 1000.0
 
+
+def _branch_and_bound(
+    inst: Instance, objective: str, opts: SolveOptions, stats: SolveStats
+) -> Solution:
+    deadline = Deadline(opts.time_limit)
     pres: PresolveResult | None = full_presolve(inst) if opts.use_presolve else None
     if pres is not None and pres.infeasible:
-        stats.time_ms = (time.monotonic() - t0) * 1000.0
         return Solution("INFEASIBLE", None, None, None, stats)
     fixed_zero = pres.fixed_zero if pres else frozenset()
     fixed_one = pres.fixed_one if pres else frozenset()
@@ -107,13 +70,11 @@ def solve(
 
     perm: list[int] = []
     bits: list[int] = []
-    timed_out = False
 
     def rec(mask: int, dcount: int, nodes_sum: int, level: int) -> None:
-        nonlocal best_value, best_order, timed_out
-        if timed_out or deadline.expired():
-            timed_out = True
-            return
+        nonlocal best_value, best_order
+        if deadline.expired():
+            raise TimeoutError
         p = len(perm)
         if p == n:
             value = nodes_sum if minimize_nodes else dcount
@@ -156,18 +117,12 @@ def solve(
             rec(mask | (1 << v), dcount + bit, nodes_sum + new_level, new_level)
             perm.pop()
             bits.pop()
-            if timed_out:
-                return
 
-    rec(0, 0, 0, 1)
-    stats.time_ms = (time.monotonic() - t0) * 1000.0
-
-    if timed_out:
+    try:
+        rec(0, 0, 0, 1)
+        status = "INFEASIBLE" if best_order is None else "OPTIMAL"
+    except TimeoutError:
         status = "TIMEOUT"
-    elif best_order is None:
-        status = "INFEASIBLE"
-    else:
-        status = "OPTIMAL"
     if best_order is None:
         return Solution(status, None, None, None, stats)
     report = check_order(inst, best_order)

@@ -90,13 +90,6 @@ class Instance:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def adjacency(self) -> list[list[int]]:
-        a = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            a[u][v] = a[v][u] = 1
-        return a
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
 
@@ -224,7 +217,7 @@ def enumerate_cliques(inst: Instance, size: int) -> list[Clique]:
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            if bin(cand >> v).count("1") < need:
+            if (cand >> v).bit_count() < need:
                 break
             members.append(v)
             extend(members, (cand >> (v + 1) << (v + 1)) & adj[v])

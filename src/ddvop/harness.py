@@ -13,17 +13,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .dfs_solver import Solution, SolveOptions, SolveStats, solve
+from .dfs_solver import solve
 from .graph import Instance
 from .naive_decomp import solve_naive
-from .oracle import DEFAULT_CAP, OBJECTIVES, brute_optimum
-from .witness_decomp import WitnessOptions, solve_witness
+from .oracle import DEFAULT_CAP, brute_optimum
+from .solution import OBJECTIVES, Solution, SolveOptions, SolveStats
+from .witness_decomp import solve_witness
 
 METHODS = ("oracle", "dfs", "naive", "witness")
 
@@ -84,6 +86,19 @@ class BenchRow:
         )
 
 
+def _check_usage(methods: Sequence[str], objective: str) -> None:
+    """Reject an empty or unknown method list, or an unsupported objective."""
+    if not methods:
+        raise UsageError("at least one method is required")
+    if objective not in OBJECTIVES:
+        raise UsageError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    for m in methods:
+        if m not in METHODS:
+            raise UsageError(f"method must be one of {METHODS}, got {m!r}")
+        if m in DOUBLE_ONLY_METHODS and objective != "min-double":
+            raise UsageError(f"method {m} supports only the min-double objective")
+
+
 def solve_with_method(
     inst: Instance,
     method: str,
@@ -95,12 +110,7 @@ def solve_with_method(
     oracle_cap: int = DEFAULT_CAP,
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
-    if method not in METHODS:
-        raise UsageError(f"method must be one of {METHODS}, got {method!r}")
-    if objective not in OBJECTIVES:
-        raise UsageError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if method in DOUBLE_ONLY_METHODS and objective != "min-double":
-        raise UsageError(f"method {method} supports only the min-double objective")
+    _check_usage((method,), objective)
     if method == "oracle":
         t0 = time.monotonic()
         res = brute_optimum(inst, objective, cap=oracle_cap)
@@ -108,13 +118,12 @@ def solve_with_method(
         if res is None:
             return Solution("INFEASIBLE", None, None, None, stats)
         return Solution("OPTIMAL", res.value, res.order, res.report.doubles, stats)
+    opts = SolveOptions(time_limit, use_presolve)
     if method == "dfs":
-        return solve(inst, objective, SolveOptions(time_limit, use_presolve))
+        return solve(inst, objective, opts)
     if method == "naive":
-        return solve_naive(inst, SolveOptions(time_limit, use_presolve), nogood)
-    return solve_witness(
-        inst, WitnessOptions(time_limit, pre_break, use_presolve)
-    )
+        return solve_naive(inst, opts, nogood)
+    return solve_witness(inst, opts, pre_break)
 
 
 def _row_from_solution(inst: Instance, method: str, sol: Solution) -> BenchRow:
@@ -141,20 +150,8 @@ def _bench_task(
     try:
         sol = solve_with_method(inst, method, objective, time_limit)
     except Exception:
-        elapsed = (time.monotonic() - t0) * 1000.0
-        return BenchRow(
-            instance=inst.name or f"n{inst.n}_K{inst.K}_m{inst.m}",
-            n=inst.n,
-            density=inst.density(),
-            K=inst.K,
-            method=method,
-            status="ERROR",
-            objective=None,
-            time_ms=elapsed,
-            choice_points_or_bb_nodes=0,
-            cuts=0,
-            cliques_considered=0,
-        )
+        stats = SolveStats(time_ms=(time.monotonic() - t0) * 1000.0)
+        sol = Solution("ERROR", None, None, None, stats)
     return _row_from_solution(inst, method, sol)
 
 
@@ -181,22 +178,19 @@ def run_bench(
     time_limit: Optional[float] = None,
     workers: int = 1,
 ) -> list[BenchRow]:
-    """One row per (instance, method), instance-major deterministic order."""
-    if not methods:
-        raise UsageError("at least one method is required")
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
-        if m in DOUBLE_ONLY_METHODS and objective != "min-double":
-            raise UsageError(f"method {m} supports only the min-double objective")
-    if objective not in OBJECTIVES:
-        raise UsageError(f"objective must be one of {OBJECTIVES}")
+    """One row per (instance, method), instance-major deterministic order.
+
+    At most one worker process per task and per CPU is started, however
+    many are asked for.
+    """
+    _check_usage(methods, objective)
     if workers < 1:
         raise UsageError("workers must be >= 1")
 
     tasks = [(inst, m) for inst in instances for m in methods]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     fn = partial(_bench_task, objective=objective, time_limit=time_limit)
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(fn, tasks))
     else:

@@ -17,10 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dfs_solver import Deadline, Solution, SolveOptions, SolveStats
 from .graph import Instance
 from .order import DoublePattern, VertexOrder, check_order
 from .presolve import PresolveResult, full_presolve
+from .solution import Deadline, Solution, SolveOptions, SolveStats
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def mp1_solve(
     K: int,
     fixings: PresolveResult,
     cuts: Sequence[BendersCut | NoGoodCut],
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
 ) -> DoublePattern | None:
     """Minimum-cardinality pattern honoring fixings and cuts.
 
@@ -92,7 +92,7 @@ def mp1_solve(
         covers_by_last.setdefault(max(c & set(free), default=max(c)), []).append(c)
 
     def dfs(idx: int, remaining: int) -> tuple[int, ...] | None:
-        if deadline is not None and deadline.expired():
+        if deadline.expired():
             raise TimeoutError
         if idx == len(free):
             if remaining != 0:
@@ -125,7 +125,7 @@ def mp1_solve(
 def sp1_solve(
     inst: Instance,
     pattern: DoublePattern,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
 ) -> VertexOrder | None:
     """Find an order whose rank-r vertex meets the pattern's threshold.
@@ -147,7 +147,7 @@ def sp1_solve(
     perm: list[int] = []
 
     def rec(mask: int) -> bool:
-        if deadline is not None and deadline.expired():
+        if deadline.expired():
             raise TimeoutError
         r = len(perm)
         if r == n:
@@ -180,7 +180,7 @@ def sp1_solve(
 def find_iis(
     inst: Instance,
     pattern: DoublePattern,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
 ) -> BendersCut | None:
     """Minimal strict-rank set whose thresholds cannot all hold.
@@ -235,30 +235,26 @@ def solve_naive(
     opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
-    deadline = Deadline(opts.time_limit) if opts.time_limit is not None else None
-
-    if opts.use_presolve:
-        fixings = full_presolve(inst)
-    else:
-        fixings = base_only_fixings(inst.n, inst.K)
-    if fixings.infeasible:
-        stats.time_ms = (time.monotonic() - t0) * 1000.0
-        return Solution("INFEASIBLE", None, None, None, stats)
-
-    cuts: list[BendersCut | NoGoodCut] = []
+    deadline = Deadline(opts.time_limit)
     try:
+        if opts.use_presolve:
+            fixings = full_presolve(inst)
+        else:
+            fixings = base_only_fixings(inst.n, inst.K)
+        if fixings.infeasible:
+            return Solution("INFEASIBLE", None, None, None, stats)
+
+        cuts: list[BendersCut | NoGoodCut] = []
         while True:
             pattern = mp1_solve(inst.n, inst.K, fixings, cuts, deadline)
             stats.iterations += 1
             if pattern is None:
-                stats.time_ms = (time.monotonic() - t0) * 1000.0
                 return Solution("INFEASIBLE", None, None, None, stats)
             order = sp1_solve(inst, pattern, deadline, stats)
             if order is not None:
                 report = check_order(inst, order)
                 assert report.is_dvop
                 assert report.double_count == pattern.count()
-                stats.time_ms = (time.monotonic() - t0) * 1000.0
                 return Solution(
                     "OPTIMAL", pattern.count(), order, report.doubles, stats
                 )
@@ -269,12 +265,12 @@ def solve_naive(
                 cut = find_iis(inst, pattern, deadline, stats)
                 stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
                 if cut is None:
-                    stats.time_ms = (time.monotonic() - t0) * 1000.0
                     return Solution("INFEASIBLE", None, None, None, stats)
                 cuts.append(cut)
             if trace is not None:
                 trace.cuts.append((cuts[-1], pattern))
             stats.cuts += 1
     except TimeoutError:
-        stats.time_ms = (time.monotonic() - t0) * 1000.0
         return Solution("TIMEOUT", None, None, None, stats)
+    finally:
+        stats.time_ms = (time.monotonic() - t0) * 1000.0

@@ -13,8 +13,11 @@ Two independent routes over the same search space:
 
 The subset DP also yields exact order counts, the full image of
 (total_nodes, double_count) over valid orders, and the Pareto front of the
-two objectives.  Everything is capped at a configurable vertex count; these
-routines are ground truth for the real solvers, not solvers themselves.
+two objectives.  Everything is capped at a configurable vertex count
+(DEFAULT_CAP), and no cap, however large, admits more than MAX_CAP vertices:
+the subset tables hold all 2^n masks, so the refusal comes before any of
+them is allocated.  These routines are ground truth for the real solvers,
+not solvers themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .order import OrderReport, VertexOrder, check_order
 
 DEFAULT_CAP = 12
 
-OBJECTIVES = ("min-double", "min-nodes")
+# Hard ceiling on any cap: 2^20 masks per subset table.
+MAX_CAP = 20
 
 
 class CapExceededError(ValueError):
@@ -37,25 +41,31 @@ class CapExceededError(ValueError):
 
 
 def _check_cap(inst: Instance, cap: int) -> None:
-    if inst.n > cap:
-        raise CapExceededError(f"oracle capped at n <= {cap}, got n = {inst.n}")
+    limit = min(cap, MAX_CAP)
+    if inst.n > limit:
+        raise CapExceededError(f"oracle capped at n <= {limit}, got n = {inst.n}")
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _sweep(n: int) -> list[int]:
+    """Every mask but the full one, in decreasing popcount order.
+
+    Each mask comes after all of its one-vertex extensions, so a subset DP
+    filled in this order finds its successors done.
+    """
+    return sorted(range((1 << n) - 1), key=int.bit_count, reverse=True)
 
 
 def _admissible(inst: Instance, mask: int, count: int, v: int) -> bool:
     # count <= K means v sits at rank <= K and must extend the initial clique.
     if count <= inst.K:
         return inst.adj_bits[v] & mask == mask
-    return _popcount(inst.adj_bits[v] & mask) >= inst.K
+    return (inst.adj_bits[v] & mask).bit_count() >= inst.K
 
 
 def _cost(inst: Instance, mask: int, count: int, v: int) -> int:
     if count < inst.K:
         return 0
-    return 1 if _popcount(inst.adj_bits[v] & mask) == inst.K else 0
+    return 1 if (inst.adj_bits[v] & mask).bit_count() == inst.K else 0
 
 
 def enumerate_valid_orders(
@@ -69,7 +79,7 @@ def enumerate_valid_orders(
     def ways(mask: int) -> int:
         if mask == full:
             return 1
-        count = _popcount(mask)
+        count = mask.bit_count()
         return sum(
             ways(mask | (1 << v))
             for v in range(inst.n)
@@ -85,7 +95,7 @@ def enumerate_valid_orders(
             if mask == full:
                 yield VertexOrder(tuple(prefix))
                 return
-            count = _popcount(mask)
+            count = mask.bit_count()
             for v in range(inst.n):
                 if not mask >> v & 1 and _admissible(inst, mask, count, v):
                     prefix.append(v)
@@ -113,24 +123,21 @@ def _dp_table(inst: Instance, step: Callable[[int, float], float]) -> list[float
     full = (1 << inst.n) - 1
     table = [math.inf] * (full + 1)
     table[full] = 0.0
-    # Masks in decreasing popcount order so successors are done first; only
-    # reachable masks matter but filling all of them is cheap at oracle sizes.
-    by_count: list[list[int]] = [[] for _ in range(inst.n + 1)]
-    for mask in range(full + 1):
-        by_count[_popcount(mask)].append(mask)
-    for count in range(inst.n - 1, -1, -1):
-        for mask in by_count[count]:
-            best = math.inf
-            for v in range(inst.n):
-                if mask >> v & 1 or not _admissible(inst, mask, count, v):
-                    continue
-                future = table[mask | (1 << v)]
-                if future == math.inf:
-                    continue
-                cand = step(_cost(inst, mask, count, v), future)
-                if cand < best:
-                    best = cand
-            table[mask] = best
+    # Only reachable masks matter, but filling all of them is cheap at
+    # oracle sizes.
+    for mask in _sweep(inst.n):
+        count = mask.bit_count()
+        best = math.inf
+        for v in range(inst.n):
+            if mask >> v & 1 or not _admissible(inst, mask, count, v):
+                continue
+            future = table[mask | (1 << v)]
+            if future == math.inf:
+                continue
+            cand = step(_cost(inst, mask, count, v), future)
+            if cand < best:
+                best = cand
+        table[mask] = best
     return table
 
 
@@ -142,7 +149,7 @@ def _walk_optimal(
     mask = 0
     perm: list[int] = []
     while mask != full:
-        count = _popcount(mask)
+        count = mask.bit_count()
         for v in range(inst.n):
             if mask >> v & 1 or not _admissible(inst, mask, count, v):
                 continue
@@ -197,21 +204,18 @@ def objective_image(inst: Instance, cap: int = DEFAULT_CAP) -> set[ParetoPoint]:
     _check_cap(inst, cap)
     full = (1 << inst.n) - 1
     pairs: dict[int, frozenset[tuple[int, int]]] = {full: frozenset({(0, 0)})}
-    by_count: list[list[int]] = [[] for _ in range(inst.n + 1)]
-    for mask in range(full + 1):
-        by_count[_popcount(mask)].append(mask)
-    for count in range(inst.n - 1, -1, -1):
-        for mask in by_count[count]:
-            acc: set[tuple[int, int]] = set()
-            for v in range(inst.n):
-                if mask >> v & 1 or not _admissible(inst, mask, count, v):
-                    continue
-                succ = pairs.get(mask | (1 << v))
-                if not succ:
-                    continue
-                c = _cost(inst, mask, count, v)
-                acc.update(((2 ** c) * (1 + t), c + d) for t, d in succ)
-            pairs[mask] = frozenset(acc)
+    for mask in _sweep(inst.n):
+        count = mask.bit_count()
+        acc: set[tuple[int, int]] = set()
+        for v in range(inst.n):
+            if mask >> v & 1 or not _admissible(inst, mask, count, v):
+                continue
+            succ = pairs.get(mask | (1 << v))
+            if not succ:
+                continue
+            c = _cost(inst, mask, count, v)
+            acc.update(((2 ** c) * (1 + t), c + d) for t, d in succ)
+        pairs[mask] = frozenset(acc)
     return {ParetoPoint(t, d) for t, d in pairs[0]}
 
 

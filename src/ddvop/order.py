@@ -39,10 +39,6 @@ class VertexOrder:
             raise ValueError("not a permutation of 0..n-1")
 
     @staticmethod
-    def from_perm(seq: Sequence[int]) -> "VertexOrder":
-        return VertexOrder(tuple(seq))
-
-    @staticmethod
     def from_ranks(ranks: Sequence[int]) -> "VertexOrder":
         perm = [0] * len(ranks)
         for v, r in enumerate(ranks):
@@ -108,7 +104,7 @@ def check_order(inst: Instance, order: VertexOrder) -> OrderReport:
     placed = 0
     bits = []
     for r, v in enumerate(order.perm):
-        pred = bin(inst.adj_bits[v] & placed).count("1")
+        pred = (inst.adj_bits[v] & placed).bit_count()
         if r < K:
             if pred != r:
                 valid = False

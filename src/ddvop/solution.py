@@ -1,0 +1,59 @@
+"""Result types and run controls shared by every solver route.
+
+Each route takes SolveOptions, counts its work in one SolveStats, and
+returns a Solution.  A search polls its Deadline once per node and raises
+TimeoutError when it has expired; the route catches it and reports
+TIMEOUT with whatever incumbent it holds.  With no time limit the
+deadline never expires, so a search never has to test for its absence.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+
+from .order import DoublePattern, VertexOrder
+
+OBJECTIVES = ("min-double", "min-nodes")
+
+
+class Deadline:
+    """Cooperative wall-clock budget; expired() is safe to call anywhere."""
+
+    def __init__(self, seconds: float | None):
+        self._end = None if seconds is None else time.monotonic() + seconds
+
+    def expired(self) -> bool:
+        return self._end is not None and time.monotonic() >= self._end
+
+
+@dataclass
+class SolveStats:
+    choice_points: int = 0
+    time_ms: float = 0.0
+    cuts: int = 0
+    cliques_considered: int = 0
+    iterations: int = 0
+    iis_time_ms: float = 0.0
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    time_limit: float | None = None
+    use_presolve: bool = True
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Outcome of one solver run.
+
+    status is OPTIMAL, INFEASIBLE, or TIMEOUT (ERROR only in bench rows).
+    On TIMEOUT the incumbent fields carry the best known order, or None
+    when none was found; on INFEASIBLE they are all None.
+    """
+
+    status: str
+    objective: int | None
+    order: VertexOrder | None
+    doubles: DoublePattern | None
+    stats: SolveStats = field(default_factory=SolveStats)

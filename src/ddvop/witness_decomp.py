@@ -24,10 +24,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .dfs_solver import Deadline, Solution, SolveStats
 from .graph import Clique, Instance, enumerate_cliques
 from .order import VertexOrder, check_order, greedy_dvop, greedy_from_clique
 from .presolve import PresolveResult, full_presolve
+from .solution import Deadline, Solution, SolveOptions, SolveStats
 
 PRE_BREAK = ("none", "2cycles", "2and3cycles")
 
@@ -45,9 +45,6 @@ class WitnessState:
     clique: frozenset[int]
     witness_arcs: frozenset[Arc]
     doubles: tuple[int, ...]
-
-    def witnesses_of(self, v: int) -> frozenset[int]:
-        return frozenset(u for w, u in self.witness_arcs if w == v)
 
     @property
     def y_sum(self) -> int:
@@ -224,42 +221,6 @@ def sp2_check(
     return VertexOrder(tuple(sorted(state.clique)) + tuple(topo))
 
 
-def find_disjoint_cycles(inst: Instance, state: WitnessState) -> list[tuple[Arc, ...]]:
-    """Vertex-disjoint cycles of the non-clique witness digraph.
-
-    Experimental multi-cut separation: extract a cycle, delete its
-    vertices, repeat until the remainder is acyclic.
-    """
-    succ = _witness_succ(inst, state)
-    cycles: list[tuple[Arc, ...]] = []
-    while True:
-        order: list[int] = []
-        indeg = {v: len(succ[v]) for v in succ}
-        heap = [v for v in succ if indeg[v] == 0]
-        heapq.heapify(heap)
-        users: dict[int, list[int]] = {v: [] for v in succ}
-        for v, ts in succ.items():
-            for u in ts:
-                users[u].append(v)
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in users[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        if len(order) == len(succ):
-            return cycles
-        cycle = _find_cycle(succ)
-        cycles.append(cycle)
-        drop = {v for v, _ in cycle}
-        succ = {
-            v: [u for u in ts if u not in drop]
-            for v, ts in succ.items()
-            if v not in drop
-        }
-
-
 def _head_lower_bound(head: Optional[PresolveResult], K: int) -> int:
     """Doubles forced beyond the clique, in vertex terms.
 
@@ -295,7 +256,7 @@ def mp2_solve(
     incumbent: Optional[int] = None,
     presolve_head: Optional[PresolveResult] = None,
     stats: Optional[SolveStats] = None,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(None),
 ) -> Optional[WitnessState]:
     """Best witness state subject to the cut pool.
 
@@ -354,7 +315,7 @@ def mp2_solve(
 
         def rec(idx: int, ycount: int) -> None:
             nonlocal best, cutoff
-            if deadline is not None and deadline.expired():
+            if deadline.expired():
                 raise TimeoutError
             if cutoff is not None and ycount >= cutoff:
                 return
@@ -398,14 +359,6 @@ def mp2_solve(
     return best
 
 
-@dataclass(frozen=True)
-class WitnessOptions:
-    time_limit: float | None = None
-    pre_break: str = "none"
-    use_presolve: bool = True
-    separate_all: bool = False
-
-
 def _seed_cuts(inst: Instance, pre_break: str) -> list[CycleCut]:
     """Cycle cuts known before any separation: 2-cycles, optionally 3-cycles."""
     if pre_break == "none":
@@ -433,36 +386,31 @@ class WitnessTrace:
 
 def solve_witness(
     inst: Instance,
-    opts: WitnessOptions | None = None,
+    opts: SolveOptions | None = None,
+    pre_break: str = "none",
     trace: WitnessTrace | None = None,
 ) -> Solution:
-    """Master-subproblem loop with lifted cycle-breaking cuts."""
-    opts = opts or WitnessOptions()
+    """Master-subproblem loop with lifted cycle-breaking cuts.
+
+    pre_break seeds the cut pool with the cuts of every 2-cycle (and
+    3-cycle) before the first master solve; see PRE_BREAK.
+    """
+    opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
-    deadline = Deadline(opts.time_limit) if opts.time_limit is not None else None
-
-    head: Optional[PresolveResult] = None
-    if opts.use_presolve:
-        head = full_presolve(inst)
-        if head.infeasible:
-            stats.time_ms = (time.monotonic() - t0) * 1000.0
-            return Solution("INFEASIBLE", None, None, None, stats)
-
-    warm = greedy_dvop(inst)
-    incumbent = warm[1].double_count if warm is not None else None
-
-    cuts = _seed_cuts(inst, opts.pre_break)
-
-    def timed_out() -> Solution:
-        stats.time_ms = (time.monotonic() - t0) * 1000.0
-        if warm is None:
-            return Solution("TIMEOUT", None, None, None, stats)
-        return Solution(
-            "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats
-        )
-
+    deadline = Deadline(opts.time_limit)
+    warm = None
     try:
+        head: Optional[PresolveResult] = None
+        if opts.use_presolve:
+            head = full_presolve(inst)
+            if head.infeasible:
+                return Solution("INFEASIBLE", None, None, None, stats)
+
+        warm = greedy_dvop(inst)
+        incumbent = warm[1].double_count if warm is not None else None
+
+        cuts = _seed_cuts(inst, pre_break)
         while True:
             state = mp2_solve(inst, cuts, incumbent, head, stats, deadline)
             stats.iterations += 1
@@ -470,7 +418,6 @@ def solve_witness(
                 # A feasible instance always yields a state below the greedy
                 # cutoff (its own induced witness assignment qualifies).
                 assert warm is None
-                stats.time_ms = (time.monotonic() - t0) * 1000.0
                 return Solution("INFEASIBLE", None, None, None, stats)
             got = sp2_check(inst, state)
             if isinstance(got, VertexOrder):
@@ -481,20 +428,21 @@ def solve_witness(
                 assert ef_validate(inst, state, got)
                 if trace is not None:
                     trace.accepted.append((state, got))
-                stats.time_ms = (time.monotonic() - t0) * 1000.0
                 return Solution("OPTIMAL", objective, got, report.doubles, stats)
-            new_cycles = (
-                find_disjoint_cycles(inst, state) if opts.separate_all else [got]
-            )
-            for cycle in new_cycles:
-                cut = make_cycle_cut(cycle, inst.K)
-                assert not cut.satisfied_by(state)
-                if trace is not None:
-                    trace.cuts.append((cut, state))
-                cuts.append(cut)
-                stats.cuts += 1
+            cut = make_cycle_cut(got, inst.K)
+            assert not cut.satisfied_by(state)
+            if trace is not None:
+                trace.cuts.append((cut, state))
+            cuts.append(cut)
+            stats.cuts += 1
     except TimeoutError:
-        return timed_out()
+        if warm is None:
+            return Solution("TIMEOUT", None, None, None, stats)
+        return Solution(
+            "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats
+        )
+    finally:
+        stats.time_ms = (time.monotonic() - t0) * 1000.0
 
 
 def ef_validate(inst: Instance, state: WitnessState, order: VertexOrder) -> bool:

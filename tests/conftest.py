@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume
 
 from ddvop.graph import DisconnectedGraphError, Instance
+from ddvop.order import check_order
 
 G6A_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 2),
@@ -100,6 +101,19 @@ def p5_k2():
 @pytest.fixture
 def wheel6():
     return Instance.build(6, 2, WHEEL6_EDGES, name="wheel6")
+
+
+def assert_timeout_incumbent(inst, sol):
+    """A min-double TIMEOUT carries no incumbent, or a valid order whose
+    double count is the reported objective."""
+    assert sol.status == "TIMEOUT"
+    if sol.order is None:
+        assert sol.objective is None and sol.doubles is None
+    else:
+        report = check_order(inst, sol.order)
+        assert report.is_dvop
+        assert sol.objective == report.double_count
+        assert sol.doubles == report.doubles
 
 
 @st.composite

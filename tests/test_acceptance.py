@@ -44,7 +44,6 @@ from ddvop.oracle import (
 from ddvop.order import VertexOrder, check_order
 from ddvop.presolve import full_presolve
 from ddvop.witness_decomp import (
-    WitnessOptions,
     WitnessState,
     WitnessTrace,
     ef_validate,
@@ -126,7 +125,7 @@ def corpus_runs(corpus):
             inst, SolveOptions(time_limit=TIME_LIMIT), trace=run.naive_trace
         )
         run.solutions["witness"] = solve_witness(
-            inst, WitnessOptions(time_limit=TIME_LIMIT), trace=run.witness_trace
+            inst, SolveOptions(time_limit=TIME_LIMIT), trace=run.witness_trace
         )
         if ref is not None:
             _, walk = enumerate_valid_orders(inst)

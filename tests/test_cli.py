@@ -2,10 +2,11 @@
 
 import pytest
 
-from conftest import G6A_EDGES
+from conftest import G6A_EDGES, path_edges
 from ddvop.cli import SOLVE_STATS_HEADER, main
 from ddvop.graph import Instance, parse_instance, render_instance
 from ddvop.harness import BENCH_HEADER
+from ddvop.oracle import MAX_CAP
 from ddvop.order import parse_solution
 
 
@@ -217,6 +218,15 @@ def test_usage_errors_exit_2(argv, g6a_file, capsys):
     assert main(argv) == 2
     _, err = capsys.readouterr()
     assert err.startswith("error:")
+
+
+def test_oracle_cap_above_ceiling_exit_2(tmp_path, capsys):
+    n = MAX_CAP + 1
+    path = tmp_path / "p21.dvop"
+    path.write_text(render_instance(Instance.build(n, 1, path_edges(n))))
+    assert main(["solve", str(path), "--method", "oracle", "--cap", "40"]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"error: oracle capped at n <= {MAX_CAP}")
 
 
 def test_malformed_instance_exit_2(tmp_path, capsys):

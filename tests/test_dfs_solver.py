@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_instances
+from conftest import assert_timeout_incumbent, small_instances
 from ddvop.dfs_solver import MODELS, SolveOptions, solve, validate_formulation
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import DoublePattern, check_order
@@ -50,6 +50,24 @@ def test_infeasible(fixture, use_presolve, request):
 def test_timeout(g6a):
     sol = solve(g6a, "min-double", SolveOptions(time_limit=0.0))
     assert sol.status == "TIMEOUT"
+    assert_timeout_incumbent(g6a, sol)
+
+
+@pytest.mark.parametrize(
+    "fixture,opts,status,searched",
+    [
+        ("g6a", SolveOptions(), "OPTIMAL", True),
+        ("p5_k2", SolveOptions(), "INFEASIBLE", False),
+        ("p5_k2", SolveOptions(use_presolve=False), "INFEASIBLE", True),
+        ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", False),
+    ],
+    ids=["optimal", "presolve-infeasible", "search-infeasible", "timeout"],
+)
+def test_time_recorded_on_every_exit(fixture, opts, status, searched, request):
+    sol = solve(request.getfixturevalue(fixture), "min-double", opts)
+    assert sol.status == status
+    assert (sol.stats.choice_points > 0) == searched
+    assert sol.stats.time_ms > 0
 
 
 def test_stats_populated(g6a):

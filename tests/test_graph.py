@@ -73,9 +73,6 @@ def test_render_round_trip(g6a):
 
 
 def test_adjacency_invariants(g6a):
-    a = g6a.adjacency
-    assert all(a[u][u] == 0 for u in range(6))
-    assert all(a[u][v] == a[v][u] for u in range(6) for v in range(6))
     assert sum(g6a.degree(v) for v in range(6)) == 2 * g6a.m
 
 

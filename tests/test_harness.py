@@ -2,6 +2,7 @@
 
 import pytest
 
+import ddvop.harness
 from ddvop.harness import (
     BENCH_HEADER,
     BenchRow,
@@ -80,6 +81,44 @@ def test_bench_usage_errors(g6a):
     with pytest.raises(UsageError):
         run_bench([g6a], ["dfs"], workers=0)
     assert run_bench([], ALL_METHODS) == []
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers,methods,cpus,pool_size",
+    [
+        (10_000, ALL_METHODS, 4, 4),  # capped by the CPU count
+        (10_000, ["dfs", "naive"], 8, 2),  # capped by the task count
+        (3, ALL_METHODS, 8, 3),  # as asked
+        (10_000, ALL_METHODS, 1, None),  # one CPU: no pool at all
+        (10_000, ALL_METHODS, None, None),  # unknown CPU count counts as one
+    ],
+    ids=["cpu-bound", "task-bound", "as-asked", "one-cpu", "cpu-unknown"],
+)
+def test_bench_worker_clamp(monkeypatch, g6a, workers, methods, cpus, pool_size):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(ddvop.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ddvop.harness.os, "cpu_count", lambda: cpus)
+    rows = run_bench([g6a], methods, workers=workers)
+    assert [r.status for r in rows] == ["OPTIMAL"] * len(methods)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_bench_error_row_isolates_failure():

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_instances
+from conftest import assert_timeout_incumbent, small_instances
 from ddvop.dfs_solver import SolveOptions
 from ddvop.naive_decomp import (
     BendersCut,
@@ -114,6 +114,28 @@ def test_frozen_instances(fixture, want, use_presolve, nogood, request):
 def test_timeout(g6a):
     sol = solve_naive(g6a, SolveOptions(time_limit=0.0))
     assert sol.status == "TIMEOUT"
+    assert_timeout_incumbent(g6a, sol)
+
+
+@pytest.mark.parametrize(
+    "fixture,opts,nogood,status,iterations",
+    [
+        ("g6a", SolveOptions(), False, "OPTIMAL", None),
+        ("p5_k2", SolveOptions(), False, "INFEASIBLE", 0),
+        # The deletion filter finds no cut: not even all doubles is feasible.
+        ("p5_k2", SolveOptions(use_presolve=False), False, "INFEASIBLE", 1),
+        # No-good cuts exhaust the patterns until the master comes back empty.
+        ("p5_k2", SolveOptions(use_presolve=False), True, "INFEASIBLE", 5),
+        ("g6a", SolveOptions(time_limit=0.0), False, "TIMEOUT", None),
+    ],
+    ids=["optimal", "presolve-infeasible", "iis-infeasible", "master-infeasible", "timeout"],
+)
+def test_time_recorded_on_every_exit(fixture, opts, nogood, status, iterations, request):
+    sol = solve_naive(request.getfixturevalue(fixture), opts, nogood)
+    assert sol.status == status
+    if iterations is not None:
+        assert sol.stats.iterations == iterations
+    assert sol.stats.time_ms > 0
 
 
 def test_trace_records_cuts(g6a):

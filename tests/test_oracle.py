@@ -10,8 +10,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_instances
+from conftest import path_edges, small_instances
+from ddvop.graph import Instance
 from ddvop.oracle import (
+    MAX_CAP,
     CapExceededError,
     ParetoPoint,
     brute_optimum,
@@ -108,6 +110,18 @@ def test_cap_guard(g6a):
         enumerate_valid_orders(g6a, cap=5)
     with pytest.raises(CapExceededError):
         objective_image(g6a, cap=5)
+
+
+def test_cap_ceiling():
+    # A cap above the ceiling does not lift it: 2^(MAX_CAP + 1) masks would
+    # be allocated otherwise.
+    path = Instance.build(MAX_CAP + 1, 1, path_edges(MAX_CAP + 1))
+    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
+        brute_optimum(path, cap=40)
+    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
+        enumerate_valid_orders(path, cap=40)
+    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
+        objective_image(path, cap=40)
 
 
 def test_bad_objective(g6a):

@@ -6,17 +6,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_instances
+from conftest import assert_timeout_incumbent, small_instances
 from ddvop.graph import Instance
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import VertexOrder, check_order
 from ddvop.presolve import full_presolve
+from ddvop.solution import SolveOptions
 from ddvop.witness_decomp import (
-    WitnessOptions,
     WitnessState,
     WitnessTrace,
     ef_validate,
-    find_disjoint_cycles,
     induce_witness_state,
     make_cycle_cut,
     mp2_solve,
@@ -76,9 +75,6 @@ def test_cyclic_state_yields_cycle(g6b, g6b_state, g6b_cyclic_state):
     assert cut.rhs(frozenset({0, 1, 2})) == 2
     assert not cut.satisfied_by(g6b_cyclic_state)
     assert cut.satisfied_by(g6b_state)
-    disjoint = find_disjoint_cycles(g6b, g6b_cyclic_state)
-    assert len(disjoint) == 1
-    assert set(disjoint[0]) == {(2, 4), (4, 2)}
 
 
 def test_make_cycle_cut_units():
@@ -144,7 +140,7 @@ FROZEN = [
 @pytest.mark.parametrize("pre_break", ["none", "2cycles", "2and3cycles"])
 def test_frozen_objectives(fixture, status, objective, pre_break, request):
     inst = request.getfixturevalue(fixture)
-    sol = solve_witness(inst, WitnessOptions(pre_break=pre_break))
+    sol = solve_witness(inst, pre_break=pre_break)
     assert sol.status == status
     assert sol.objective == objective
     if status == "OPTIMAL":
@@ -153,9 +149,8 @@ def test_frozen_objectives(fixture, status, objective, pre_break, request):
 
 
 @pytest.mark.parametrize("use_presolve", [True, False])
-@pytest.mark.parametrize("separate_all", [False, True])
-def test_option_grid_g6a(g6a, use_presolve, separate_all):
-    opts = WitnessOptions(use_presolve=use_presolve, separate_all=separate_all)
+def test_option_grid_g6a(g6a, use_presolve):
+    opts = SolveOptions(use_presolve=use_presolve)
     sol = solve_witness(g6a, opts)
     assert sol.status == "OPTIMAL" and sol.objective == 2
 
@@ -221,16 +216,40 @@ def test_trace_hooks(g6a):
 
 def test_timeout():
     big = Instance.build(12, 3, list(itertools.combinations(range(12), 2)))
-    sol = solve_witness(big, WitnessOptions(time_limit=1e-6))
+    sol = solve_witness(big, SolveOptions(time_limit=1e-6))
     assert sol.status == "TIMEOUT"
     assert sol.objective == 1
+    assert_timeout_incumbent(big, sol)
+
+
+@pytest.mark.parametrize(
+    "fixture,opts,status,iterations",
+    [
+        ("g6a", SolveOptions(), "OPTIMAL", None),
+        ("p5_k2", SolveOptions(), "INFEASIBLE", 0),
+        ("g6a_k3", SolveOptions(), "INFEASIBLE", 1),
+        ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", 0),
+    ],
+    ids=[
+        "optimal",
+        "presolve-infeasible",
+        "master-infeasible",
+        "timeout",
+    ],
+)
+def test_time_recorded_on_every_exit(fixture, opts, status, iterations, request):
+    sol = solve_witness(request.getfixturevalue(fixture), opts)
+    assert sol.status == status
+    if iterations is not None:
+        assert sol.stats.iterations == iterations
+    assert sol.stats.time_ms > 0
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_instances(max_n=7), st.sampled_from(["none", "2cycles", "2and3cycles"]))
 def test_agrees_with_oracle(inst, pre_break):
     ref = brute_optimum(inst, "min-double")
-    sol = solve_witness(inst, WitnessOptions(pre_break=pre_break))
+    sol = solve_witness(inst, pre_break=pre_break)
     if ref is None:
         assert sol.status == "INFEASIBLE"
     else:

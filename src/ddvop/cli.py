@@ -17,10 +17,12 @@ from typing import Optional
 from .graph import Instance, parse_instance
 from .harness import (
     METHODS,
+    RESULT_HEADER,
     bench_csv,
     parse_bench_csv,
     perf_profile,
     profile_csv,
+    result_fields,
     run_bench,
     solve_with_method,
 )
@@ -34,10 +36,7 @@ from .solution import Solution
 OBJECTIVE_MAP = {"double": "min-double", "nodes": "min-nodes"}
 PRE_BREAK_MAP = {"none": "none", "2": "2cycles", "23": "2and3cycles"}
 
-SOLVE_STATS_HEADER = (
-    "method,status,objective,time_ms,choice_points,cuts,"
-    "cliques_considered,iterations,iis_time_ms"
-)
+SOLVE_STATS_HEADER = ",".join(RESULT_HEADER)
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -151,21 +150,7 @@ def _emit(ns: argparse.Namespace, text: str, side_text: str = "") -> None:
 
 
 def _solve_stats_csv(method: str, sol: Solution) -> str:
-    st = sol.stats
-    row = ",".join(
-        str(f)
-        for f in (
-            method,
-            sol.status,
-            "" if sol.objective is None else sol.objective,
-            f"{st.time_ms:.3f}",
-            st.choice_points,
-            st.cuts,
-            st.cliques_considered,
-            st.iterations,
-            f"{st.iis_time_ms:.3f}",
-        )
-    )
+    row = ",".join(result_fields(method, sol.status, sol.objective, sol.stats))
     return SOLVE_STATS_HEADER + "\n" + row + "\n"
 
 

@@ -24,7 +24,7 @@ from .dfs_solver import solve
 from .graph import Instance
 from .naive_decomp import solve_naive
 from .oracle import DEFAULT_CAP, brute_optimum
-from .solution import OBJECTIVES, Solution, SolveOptions, SolveStats
+from .solution import OBJECTIVES, STATS_COLUMNS, Solution, SolveOptions, SolveStats
 from .witness_decomp import solve_witness
 
 METHODS = ("oracle", "dfs", "naive", "witness")
@@ -32,19 +32,16 @@ METHODS = ("oracle", "dfs", "naive", "witness")
 # Methods built around double-pattern masters cannot minimize node counts.
 DOUBLE_ONLY_METHODS = ("naive", "witness")
 
-BENCH_HEADER = (
-    "instance",
-    "n",
-    "density",
-    "K",
-    "method",
-    "status",
-    "objective",
-    "time_ms",
-    "choice_points_or_bb_nodes",
-    "cuts",
-    "cliques_considered",
-)
+# Largest n a solve accepts.  Every search recurses one frame per rank, so
+# n near Python's default recursion limit of 1000 dies in RecursionError;
+# 500 leaves half that limit to the callers (CLI, bench, a test runner).
+# Larger n is out of reach anyway: the O(n^3) greedy warm start alone
+# takes tens of seconds at a few hundred vertices.
+MAX_N = 500
+
+# The solve stats CSV prints RESULT_HEADER; a bench row prefixes the instance.
+RESULT_HEADER = ("method", "status", "objective") + STATS_COLUMNS
+BENCH_HEADER = ("instance", "n", "density", "K") + RESULT_HEADER
 
 PROFILE_HEADER = ("method", "tau", "fraction")
 
@@ -56,6 +53,14 @@ class UsageError(ValueError):
     """Caller misuse (bad method list, unsupported combination)."""
 
 
+def result_fields(
+    method: str, status: str, objective: Optional[int], stats: SolveStats
+) -> list[str]:
+    """One RESULT_HEADER row as CSV text."""
+    obj = "" if objective is None else str(objective)
+    return [method, status, obj, *stats.csv_fields()]
+
+
 @dataclass(frozen=True)
 class BenchRow:
     instance: str
@@ -65,25 +70,16 @@ class BenchRow:
     method: str
     status: str
     objective: Optional[int]
-    time_ms: float
-    choice_points_or_bb_nodes: int
-    cuts: int
-    cliques_considered: int
+    stats: SolveStats
 
-    def csv_fields(self) -> tuple[str, ...]:
-        return (
+    def csv_fields(self) -> list[str]:
+        return [
             self.instance,
             str(self.n),
             f"{self.density:.4f}",
             str(self.K),
-            self.method,
-            self.status,
-            "" if self.objective is None else str(self.objective),
-            f"{self.time_ms:.3f}",
-            str(self.choice_points_or_bb_nodes),
-            str(self.cuts),
-            str(self.cliques_considered),
-        )
+            *result_fields(self.method, self.status, self.objective, self.stats),
+        ]
 
 
 def _check_usage(methods: Sequence[str], objective: str) -> None:
@@ -111,6 +107,8 @@ def solve_with_method(
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
     _check_usage((method,), objective)
+    if inst.n > MAX_N:
+        raise UsageError(f"n = {inst.n} exceeds the solver ceiling of {MAX_N}")
     if method == "oracle":
         t0 = time.monotonic()
         res = brute_optimum(inst, objective, cap=oracle_cap)
@@ -127,18 +125,10 @@ def solve_with_method(
 
 
 def _row_from_solution(inst: Instance, method: str, sol: Solution) -> BenchRow:
+    name = inst.name or f"n{inst.n}_K{inst.K}_m{inst.m}"
     return BenchRow(
-        instance=inst.name or f"n{inst.n}_K{inst.K}_m{inst.m}",
-        n=inst.n,
-        density=inst.density(),
-        K=inst.K,
-        method=method,
-        status=sol.status,
-        objective=sol.objective,
-        time_ms=sol.stats.time_ms,
-        choice_points_or_bb_nodes=sol.stats.choice_points,
-        cuts=sol.stats.cuts,
-        cliques_considered=sol.stats.cliques_considered,
+        name, inst.n, inst.density(), inst.K,
+        method, sol.status, sol.objective, sol.stats,
     )
 
 
@@ -222,19 +212,17 @@ def parse_bench_csv(text: str) -> list[BenchRow]:
             continue
         if len(fields) != len(BENCH_HEADER):
             raise ValueError(f"bench CSV row has {len(fields)} fields: {fields}")
+        instance, n, density, K, method, status, objective, *stats = fields
         rows.append(
             BenchRow(
-                instance=fields[0],
-                n=int(fields[1]),
-                density=float(fields[2]),
-                K=int(fields[3]),
-                method=fields[4],
-                status=fields[5],
-                objective=None if fields[6] == "" else int(fields[6]),
-                time_ms=float(fields[7]),
-                choice_points_or_bb_nodes=int(fields[8]),
-                cuts=int(fields[9]),
-                cliques_considered=int(fields[10]),
+                instance,
+                int(n),
+                float(density),
+                int(K),
+                method,
+                status,
+                None if objective == "" else int(objective),
+                SolveStats.from_csv_fields(stats),
             )
         )
     return rows
@@ -258,7 +246,8 @@ def perf_profile(rows: Sequence[BenchRow]) -> list[tuple[str, float, float]]:
         if r.status != "OPTIMAL":
             continue
         key = (r.instance, r.n, r.K)
-        by_instance.setdefault(key, {})[r.method] = max(r.time_ms, _TIME_FLOOR_MS)
+        time_ms = max(r.stats.time_ms, _TIME_FLOOR_MS)
+        by_instance.setdefault(key, {})[r.method] = time_ms
     if not by_instance:
         return []
 

@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,7 +32,11 @@ Term = tuple[int, str]
 
 
 class _Lp:
-    """Accumulates one LP model and renders deterministic text."""
+    """Accumulates one LP model and renders deterministic text.
+
+    Every variable and constraint is added under a family name, and the
+    per-family tallies are the raw counts a ModelSummary reports.
+    """
 
     def __init__(self, comments: Sequence[str]):
         self.comments = list(comments)
@@ -41,10 +46,21 @@ class _Lp:
         self.bounds: list[tuple[int, str, int]] = []
         self.binaries: list[str] = []
         self.generals: list[str] = []
+        self.var_counts: Counter[str] = Counter()
+        self.con_counts: Counter[str] = Counter()
+        self.warning = ""
 
-    def constraint(self, name: str, terms: Sequence[Term], sense: str, rhs: int) -> None:
+    def constraint(
+        self, family: str, name: str, terms: Sequence[Term], sense: str, rhs: int
+    ) -> None:
         assert sense in ("<=", ">=", "=")
         self.cons.append((name, list(terms), sense, rhs))
+        self.con_counts[family] += 1
+
+    def declare(self, family: str, names: Sequence[str], general: bool = False) -> None:
+        """Declare a family of binary (or general integer) variables."""
+        (self.generals if general else self.binaries).extend(names)
+        self.var_counts[family] += len(names)
 
     @staticmethod
     def _expr(terms: Sequence[Term], const: int = 0) -> list[str]:
@@ -154,13 +170,11 @@ def _kappa_name(c: tuple[int, ...]) -> str:
 
 def _trivial_model(lp: _Lp, why: str) -> None:
     lp.comments.append(f"warning: {why}")
+    lp.warning = why
     lp.obj_terms = [(1, "infeasible_dummy")]
-    lp.cons = []
-    lp.constraint("force_one", [(1, "infeasible_dummy")], ">=", 1)
-    lp.constraint("force_zero", [(1, "infeasible_dummy")], "<=", 0)
-    lp.binaries = ["infeasible_dummy"]
-    lp.generals = []
-    lp.bounds = []
+    lp.constraint("infeasible", "force_one", [(1, "infeasible_dummy")], ">=", 1)
+    lp.constraint("infeasible", "force_zero", [(1, "infeasible_dummy")], "<=", 0)
+    lp.declare("dummy", ["infeasible_dummy"])
 
 
 def _header(inst: Instance, model: str) -> list[str]:
@@ -170,7 +184,12 @@ def _header(inst: Instance, model: str) -> list[str]:
     ]
 
 
-def _export_ip(inst: Instance, with_nodes: bool) -> tuple[_Lp, dict, dict]:
+# Each exporter returns its model and the table count of every variable
+# and constraint family, in the order the summary lists them.
+Export = tuple[_Lp, dict[str, int], dict[str, int]]
+
+
+def _export_ip(inst: Instance, with_nodes: bool) -> Export:
     n, K = inst.n, inst.K
     lp = _Lp(_header(inst, "minnodes" if with_nodes else "ip"))
     if with_nodes:
@@ -178,13 +197,11 @@ def _export_ip(inst: Instance, with_nodes: bool) -> tuple[_Lp, dict, dict]:
     else:
         lp.obj_terms = [(1, f"y_{r}") for r in range(n)]
     for v in range(n):
-        lp.constraint(
-            f"assign_v{v}", [(1, f"x_{v}_{r}") for r in range(n)], "=", 1
-        )
+        row = [(1, f"x_{v}_{r}") for r in range(n)]
+        lp.constraint("1-1 assignment", f"assign_v{v}", row, "=", 1)
     for r in range(n):
-        lp.constraint(
-            f"assign_r{r}", [(1, f"x_{v}_{r}") for v in range(n)], "=", 1
-        )
+        col = [(1, f"x_{v}_{r}") for v in range(n)]
+        lp.constraint("1-1 assignment", f"assign_r{r}", col, "=", 1)
     for v in range(n):
         for r in range(1, n):
             # Rank r needs r adjacent predecessors inside the clique
@@ -194,60 +211,45 @@ def _export_ip(inst: Instance, with_nodes: bool) -> tuple[_Lp, dict, dict]:
                 (1, f"x_{u}_{j}") for u in sorted(inst.neighbors[v]) for j in range(r)
             ]
             terms.append((-need, f"x_{v}_{r}"))
-            lp.constraint(f"pred_v{v}_r{r}", terms, ">=", 0)
+            lp.constraint("clique", f"pred_v{v}_r{r}", terms, ">=", 0)
     for r in range(K):
-        lp.constraint(f"fix_y{r}", [(1, f"y_{r}")], "=", 0)
-    lp.constraint(f"fix_y{K}", [(1, f"y_{K}")], "=", 1)
+        lp.constraint("fixing", f"fix_y{r}", [(1, f"y_{r}")], "=", 0)
+    lp.constraint("fixing", f"fix_y{K}", [(1, f"y_{K}")], "=", 1)
     for v in range(n):
         for r in range(K, n):
             terms = [
                 (1, f"x_{u}_{j}") for u in sorted(inst.neighbors[v]) for j in range(r)
             ]
             terms.append((-(K + 1), f"z_{v}_{r}"))
-            lp.constraint(f"wit_v{v}_r{r}", terms, ">=", 0)
-            lp.constraint(
-                f"dbl_v{v}_r{r}",
-                [(1, f"x_{v}_{r}"), (-1, f"y_{r}"), (-1, f"z_{v}_{r}")],
-                "<=",
-                0,
-            )
-    lp.binaries = (
-        [f"x_{v}_{r}" for v in range(n) for r in range(n)]
-        + [f"y_{r}" for r in range(n)]
-        + [f"z_{v}_{r}" for v in range(n) for r in range(K, n)]
-    )
-    variables = {
-        "y": (n, n),
-        "x": (n * n, n * n),
-        "z": (n * (n - K), n * (n - K)),
-    }
+            lp.constraint("linking", f"wit_v{v}_r{r}", terms, ">=", 0)
+            terms = [(1, f"x_{v}_{r}"), (-1, f"y_{r}"), (-1, f"z_{v}_{r}")]
+            lp.constraint("linking", f"dbl_v{v}_r{r}", terms, "<=", 0)
+    lp.declare("x", [f"x_{v}_{r}" for v in range(n) for r in range(n)])
+    lp.declare("y", [f"y_{r}" for r in range(n)])
+    lp.declare("z", [f"z_{v}_{r}" for v in range(n) for r in range(K, n)])
+    variables = {"y": n, "x": n * n, "z": n * (n - K)}
     constraints = {
-        "1-1 assignment": (2 * n, 2 * n),
-        "clique": (n * (n - 1), n * n),
-        "fixing": (K + 1, K + 1),
-        "linking": (2 * n * (n - K), 2 * (n * n - K - 1)),
+        "1-1 assignment": 2 * n,
+        "clique": n * n,
+        "fixing": K + 1,
+        "linking": 2 * (n * n - K - 1),
     }
     if with_nodes:
         for r in range(K):
-            lp.constraint(f"mfix_r{r}", [(1, f"m_{r}")], "=", 1)
+            lp.constraint("node fixing", f"mfix_r{r}", [(1, f"m_{r}")], "=", 1)
         for r in range(K, n):
-            lp.constraint(
-                f"mmono_r{r}", [(1, f"m_{r}"), (-1, f"m_{r - 1}")], ">=", 0
-            )
+            terms = [(1, f"m_{r}"), (-1, f"m_{r - 1}")]
+            lp.constraint("node monotone", f"mmono_r{r}", terms, ">=", 0)
             # m_r - 2 m_{r-1} >= -2^{r-K} (1 - y_{r-1}), the big-M wide
             # enough for the all-doubles worst case.
             big = 2 ** (r - K)
-            lp.constraint(
-                f"mdbl_r{r}",
-                [(1, f"m_{r}"), (-2, f"m_{r - 1}"), (-big, f"y_{r - 1}")],
-                ">=",
-                -big,
-            )
-        lp.generals = [f"m_{r}" for r in range(n)]
-        variables["m"] = (n, n)
-        constraints["node fixing"] = (K, K)
-        constraints["node monotone"] = (n - K, n - K)
-        constraints["node doubling"] = (n - K, n - K)
+            terms = [(1, f"m_{r}"), (-2, f"m_{r - 1}"), (-big, f"y_{r - 1}")]
+            lp.constraint("node doubling", f"mdbl_r{r}", terms, ">=", -big)
+        lp.declare("m", [f"m_{r}" for r in range(n)], general=True)
+        variables["m"] = n
+        constraints["node fixing"] = K
+        constraints["node monotone"] = n - K
+        constraints["node doubling"] = n - K
     return lp, variables, constraints
 
 
@@ -268,146 +270,101 @@ def _linking_rows(
             if i in c:
                 terms.append((K - (c.index(i) + 1) + 1, _kappa_name(c)))
         terms.append((1, f"y_{i}"))
-        lp.constraint(f"link_v{i}", terms, ">=", K + 1)
+        lp.constraint("linking", f"link_v{i}", terms, ">=", K + 1)
 
 
-def _export_ordering(
-    inst: Instance, model: str, unordered: bool
-) -> tuple[_Lp, dict, dict, str]:
+def _export_ordering(inst: Instance, model: str, unordered: bool) -> Export:
     n, K = inst.n, inst.K
     m = len(inst.edges)
     lp = _Lp(_header(inst, model))
     cliques = ordered_extendable_cliques(inst, unordered)
     if not cliques:
-        why = "no extendable K-clique; emitted trivially infeasible model"
-        _trivial_model(lp, why)
-        variables = {"dummy": (1, 1)}
-        constraints = {"infeasible": (2, 2)}
-        return lp, variables, constraints, why
+        _trivial_model(lp, "no extendable K-clique; emitted trivially infeasible model")
+        return lp, {"dummy": 1}, {"infeasible": 2}
     lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
     lp.obj_const = -K
     edge_pairs = inst.sorted_edges()
     if model == "cycles":
+        family, table = "linear ordering", n * n + n * n * m
         p_names = [f"p_{i}_{j}" for i in range(n) for j in range(n) if i != j]
         for i, j in itertools.combinations(range(n), 2):
-            lp.constraint(
-                f"pair_{i}_{j}", [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")], "=", 1
-            )
-        tri = 0
+            terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
+            lp.constraint(family, f"pair_{i}_{j}", terms, "=", 1)
         for i, j in edge_pairs:
             for k in range(n):
                 if k == i or k == j:
                     continue
-                lp.constraint(
-                    f"tri_{i}_{j}_{k}",
-                    [(1, f"p_{i}_{j}"), (1, f"p_{j}_{k}"), (1, f"p_{k}_{i}")],
-                    "<=",
-                    2,
-                )
-                lp.constraint(
-                    f"tri_{j}_{i}_{k}",
-                    [(1, f"p_{j}_{i}"), (1, f"p_{i}_{k}"), (1, f"p_{k}_{j}")],
-                    "<=",
-                    2,
-                )
-                tri += 2
-        ordering = (n * (n - 1) // 2 + tri, n * n + n * n * m)
+                for a, b in ((i, j), (j, i)):
+                    terms = [(1, f"p_{a}_{b}"), (1, f"p_{b}_{k}"), (1, f"p_{k}_{a}")]
+                    lp.constraint(family, f"tri_{a}_{b}_{k}", terms, "<=", 2)
     else:
         p_names = [f"p_{i}_{j}" for i, j in edge_pairs] + [
             f"p_{j}_{i}" for i, j in edge_pairs
         ]
         p_names.sort()
         if model == "ranks":
+            family, table = "linear ordering", m
             for i, j in edge_pairs:
                 for a, b in ((i, j), (j, i)):
-                    lp.constraint(
-                        f"mtz_{a}_{b}",
-                        [(n, f"p_{a}_{b}"), (1, f"r_{a}"), (-1, f"r_{b}")],
-                        "<=",
-                        n - 1,
-                    )
-            ordering = (2 * m, m)
+                    terms = [(n, f"p_{a}_{b}"), (1, f"r_{a}"), (-1, f"r_{b}")]
+                    lp.constraint(family, f"mtz_{a}_{b}", terms, "<=", n - 1)
         else:  # ccg master with 2- and 3-cycle seeds
+            triangles = enumerate_cliques(inst, 3)
+            family, table = "cycle breaking cuts", m + 2 * len(triangles)
             for i, j in edge_pairs:
-                lp.constraint(
-                    f"cyc2_{i}_{j}", [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")], "<=", 1
-                )
-            seeds = m
-            for t in enumerate_cliques(inst, 3):
+                terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
+                lp.constraint(family, f"cyc2_{i}_{j}", terms, "<=", 1)
+            for t in triangles:
                 a, b, c = t.members
-                lp.constraint(
-                    f"cyc3_{a}_{b}_{c}",
-                    [(1, f"p_{a}_{b}"), (1, f"p_{b}_{c}"), (1, f"p_{c}_{a}")],
-                    "<=",
-                    2,
-                )
-                lp.constraint(
-                    f"cyc3_{a}_{c}_{b}",
-                    [(1, f"p_{a}_{c}"), (1, f"p_{c}_{b}"), (1, f"p_{b}_{a}")],
-                    "<=",
-                    2,
-                )
-                seeds += 2
-            ordering = (seeds, seeds)
-    lp.constraint("pick_clique", [(1, _kappa_name(c)) for c in cliques], "=", 1)
+                for x, y in ((b, c), (c, b)):
+                    terms = [(1, f"p_{a}_{x}"), (1, f"p_{x}_{y}"), (1, f"p_{y}_{a}")]
+                    lp.constraint(family, f"cyc3_{a}_{x}_{y}", terms, "<=", 2)
+    terms = [(1, _kappa_name(c)) for c in cliques]
+    lp.constraint("clique selection", "pick_clique", terms, "=", 1)
     _linking_rows(lp, inst, cliques)
-    lp.binaries = (
-        [f"y_{v}" for v in range(n)]
-        + [_kappa_name(c) for c in cliques]
-        + p_names
-    )
+    lp.declare("y", [f"y_{v}" for v in range(n)])
+    lp.declare("kappa", [_kappa_name(c) for c in cliques])
+    lp.declare("p", p_names)
+    variables = {"y": n, "kappa": n, "p": n * n if model == "cycles" else 2 * m}
+    constraints = {"clique selection": 1, "linking": n, family: table}
     if model == "ranks":
-        lp.generals = [f"r_{v}" for v in range(n)]
+        lp.declare("r", [f"r_{v}" for v in range(n)], general=True)
         lp.bounds = [(0, f"r_{v}", n - 1) for v in range(n)]
-    variables = {
-        "y": (n, n),
-        "kappa": (len(cliques), n),
-        "p": (len(p_names), n * n if model == "cycles" else 2 * m),
-    }
-    constraints = {"clique selection": (1, 1), "linking": (n, n)}
-    if model == "ccg":
-        constraints["cycle breaking cuts"] = ordering
-    else:
-        constraints["linear ordering"] = ordering
-    if model == "ranks":
-        variables["r"] = (n, n)
-    return lp, variables, constraints, ""
+        variables["r"] = n
+    return lp, variables, constraints
 
 
-def _export_mp2(inst: Instance) -> tuple[_Lp, dict, dict]:
+def _export_mp2(inst: Instance) -> Export:
     n, K = inst.n, inst.K
     m = len(inst.edges)
     lp = _Lp(_header(inst, "mp2"))
     lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
     lp.obj_const = 1
-    lp.constraint("pick_clique", [(1, f"kappa_{v}") for v in range(n)], "=", K + 1)
-    nonadj = 0
+    terms = [(1, f"kappa_{v}") for v in range(n)]
+    lp.constraint("clique selection", "pick_clique", terms, "=", K + 1)
     for u, v in itertools.combinations(range(n), 2):
         if (u, v) not in inst.edges:
-            lp.constraint(
-                f"nonadj_{u}_{v}", [(1, f"kappa_{u}"), (1, f"kappa_{v}")], "<=", 1
-            )
-            nonadj += 1
+            terms = [(1, f"kappa_{u}"), (1, f"kappa_{v}")]
+            lp.constraint("clique witness", f"nonadj_{u}_{v}", terms, "<=", 1)
     for v in range(n):
         for u in sorted(inst.neighbors[v]):
-            lp.constraint(
-                f"cw_v{v}_u{u}", [(1, f"w_{u}_{v}"), (-1, f"kappa_{v}")], ">=", 0
-            )
+            terms = [(1, f"w_{u}_{v}"), (-1, f"kappa_{v}")]
+            lp.constraint("clique witness", f"cw_v{v}_u{u}", terms, ">=", 0)
     for v in range(n):
         terms = [(1, f"w_{v}_{u}") for u in sorted(inst.neighbors[v])]
         terms.append((1, f"kappa_{v}"))
         terms.append((1, f"y_{v}"))
-        lp.constraint(f"wit_v{v}", terms, "=", K + 1)
-    lp.binaries = (
-        [f"y_{v}" for v in range(n)]
-        + [f"kappa_{v}" for v in range(n)]
-        + sorted(f"w_{a}_{b}" for u, v in inst.edges for a, b in ((u, v), (v, u)))
+        lp.constraint("witness", f"wit_v{v}", terms, "=", K + 1)
+    lp.declare("y", [f"y_{v}" for v in range(n)])
+    lp.declare("kappa", [f"kappa_{v}" for v in range(n)])
+    lp.declare(
+        "w", sorted(f"w_{a}_{b}" for u, v in inst.edges for a, b in ((u, v), (v, u)))
     )
-    variables = {"y": (n, n), "kappa": (n, n), "w": (2 * m, 2 * m)}
+    variables = {"y": n, "kappa": n, "w": 2 * m}
     constraints = {
-        "clique selection": (1, 1),
-        "clique witness": (nonadj + 2 * m, n * (n - 1) // 2 + m),
-        "witness": (n, n),
+        "clique selection": 1,
+        "clique witness": n * (n - 1) // 2 + m,
+        "witness": n,
     }
     return lp, variables, constraints
 
@@ -419,24 +376,21 @@ def export(
     model = model.lower()
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
-    warning = ""
     if model in ("ip", "minnodes"):
         lp, variables, constraints = _export_ip(inst, model == "minnodes")
     elif model == "mp2":
         lp, variables, constraints = _export_mp2(inst)
     else:
-        lp, variables, constraints, warning = _export_ordering(
-            inst, model, unordered_cliques
-        )
+        lp, variables, constraints = _export_ordering(inst, model, unordered_cliques)
     summary = ModelSummary(
         model=model,
         n=inst.n,
         m=len(inst.edges),
         K=inst.K,
-        variables=variables,
-        constraints=constraints,
+        variables={f: (lp.var_counts[f], t) for f, t in variables.items()},
+        constraints={f: (lp.con_counts[f], t) for f, t in constraints.items()},
         unordered_cliques=unordered_cliques,
-        warning=warning,
+        warning=lp.warning,
     )
     return lp.render(), summary
 

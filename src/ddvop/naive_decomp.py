@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graph import Instance
-from .order import DoublePattern, VertexOrder, check_order
+from .order import DoublePattern, VertexOrder, check_order, greedy_dvop
 from .presolve import PresolveResult, full_presolve
 from .solution import Deadline, Solution, SolveOptions, SolveStats
 
@@ -271,6 +271,12 @@ def solve_naive(
                 trace.cuts.append((cuts[-1], pattern))
             stats.cuts += 1
     except TimeoutError:
-        return Solution("TIMEOUT", None, None, None, stats)
+        # The greedy order is the incumbent; it is built only here, since
+        # on dense graphs one greedy pass can cost more than a whole solve.
+        warm = greedy_dvop(inst)
+        if warm is None:
+            return Solution("TIMEOUT", None, None, None, stats)
+        order, report = warm
+        return Solution("TIMEOUT", report.double_count, order, report.doubles, stats)
     finally:
         stats.time_ms = (time.monotonic() - t0) * 1000.0

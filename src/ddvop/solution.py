@@ -10,7 +10,8 @@ deadline never expires, so a search never has to test for its absence.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from typing import Sequence
 
 from .order import DoublePattern, VertexOrder
 
@@ -29,12 +30,31 @@ class Deadline:
 
 @dataclass
 class SolveStats:
-    choice_points: int = 0
+    """Work counters of one solve; the field order is the CSV column order.
+
+    Every stats CSV (the solve side channel and the bench) takes its
+    columns from these fields, so a new counter is one line here.
+    """
+
     time_ms: float = 0.0
+    choice_points: int = 0
     cuts: int = 0
     cliques_considered: int = 0
     iterations: int = 0
     iis_time_ms: float = 0.0
+
+    def csv_fields(self) -> list[str]:
+        """Field values as CSV text, in STATS_COLUMNS order."""
+        return [f"{v:.3f}" if isinstance(v, float) else str(v) for v in astuple(self)]
+
+    @classmethod
+    def from_csv_fields(cls, values: Sequence[str]) -> SolveStats:
+        """Inverse of csv_fields; each field parses as its default's type."""
+        pairs = zip(fields(cls), values, strict=True)
+        return cls(*(type(f.default)(v) for f, v in pairs))
+
+
+STATS_COLUMNS = tuple(f.name for f in fields(SolveStats))
 
 
 @dataclass(frozen=True)

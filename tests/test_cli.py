@@ -1,13 +1,22 @@
 """Command line battery: every subcommand runs in-process via main(argv)."""
 
+from dataclasses import fields
+
 import pytest
 
 from conftest import G6A_EDGES, path_edges
-from ddvop.cli import SOLVE_STATS_HEADER, main
+from ddvop.cli import SOLVE_STATS_HEADER, _solve_stats_csv, main
 from ddvop.graph import Instance, parse_instance, render_instance
-from ddvop.harness import BENCH_HEADER
+from ddvop.harness import (
+    BENCH_HEADER,
+    MAX_N,
+    _row_from_solution,
+    bench_csv,
+    parse_bench_csv,
+)
 from ddvop.oracle import MAX_CAP
 from ddvop.order import parse_solution
+from ddvop.solution import Solution, SolveStats
 
 
 @pytest.fixture
@@ -184,6 +193,26 @@ def test_export_warning(p5_k2_file, capsys):
     assert err.startswith("warning:")
 
 
+def test_solve_and_bench_share_stats_columns():
+    # One record, two writers: the same stats cells in SolveStats order.
+    inst = Instance.build(6, 2, G6A_EDGES, name="g6a")
+    stats = SolveStats(
+        time_ms=1.5, choice_points=7, cuts=3, cliques_considered=4,
+        iterations=5, iis_time_ms=0.25,
+    )
+    sol = Solution("OPTIMAL", 2, None, None, stats)
+    names = tuple(f.name for f in fields(SolveStats))
+    solve_header, solve_row = _solve_stats_csv("naive", sol).splitlines()
+    bench_text = bench_csv([_row_from_solution(inst, "naive", sol)])
+    bench_header, bench_row = bench_text.splitlines()
+    assert tuple(solve_header.split(",")[3:]) == names
+    assert tuple(bench_header.split(",")[7:]) == names
+    assert solve_row.split(",")[3:] == bench_row.split(",")[7:]
+    assert solve_row.split(",")[3:] == ["1.500", "7", "3", "4", "5", "0.250"]
+    (parsed,) = parse_bench_csv(bench_text)
+    assert parsed.stats == stats
+
+
 def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
     dest = tmp_path / "bench.csv"
     argv = ["bench", g6a_file, p5_k2_file, "--methods", "oracle,dfs",
@@ -227,6 +256,17 @@ def test_oracle_cap_above_ceiling_exit_2(tmp_path, capsys):
     assert main(["solve", str(path), "--method", "oracle", "--cap", "40"]) == 2
     _, err = capsys.readouterr()
     assert err.startswith(f"error: oracle capped at n <= {MAX_CAP}")
+
+
+def test_solver_ceiling_exit_2(tmp_path, capsys):
+    # Without the ceiling the search died in a RecursionError, exit 1.
+    n = MAX_N + 1
+    path = tmp_path / "path.dvop"
+    path.write_text(render_instance(Instance.build(n, 1, path_edges(n))))
+    argv = ["solve", str(path), "--method", "naive", "--time-limit", "5"]
+    assert main(argv) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"error: n = {n} exceeds the solver ceiling of {MAX_N}")
 
 
 def test_malformed_instance_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 import ddvop.harness
 from ddvop.harness import (
     BENCH_HEADER,
+    MAX_N,
     BenchRow,
     UsageError,
     bench_csv,
@@ -14,8 +15,10 @@ from ddvop.harness import (
     run_bench,
     solve_with_method,
 )
+from ddvop.graph import Instance
 from ddvop.instgen import gen_random
 from ddvop.order import check_order
+from ddvop.solution import SolveStats
 
 ALL_METHODS = ["oracle", "dfs", "naive", "witness"]
 
@@ -42,6 +45,30 @@ def test_dispatch_usage_errors(g6a):
         solve_with_method(g6a, "witness", "min-nodes")
     with pytest.raises(UsageError):
         solve_with_method(g6a, "simplex")
+
+
+def triangle_sparse(n):
+    """K = 2, feasible, with three triangles, all among vertices 0..4.
+
+    naive recurses about n frames deep on it, while the greedy warm
+    start stays cheap: it has only three initial cliques to try.
+    """
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    edges += [(v - 3, v) for v in range(4, n)] + [(v - 1, v) for v in range(4, n)]
+    return Instance.build(n, 2, edges)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_solver_ceiling_refuses_larger_n(method):
+    with pytest.raises(UsageError, match="solver ceiling"):
+        solve_with_method(triangle_sparse(MAX_N + 1), method, time_limit=5.0)
+
+
+def test_solver_ceiling_admits_ceiling():
+    inst = triangle_sparse(MAX_N)
+    sol = solve_with_method(inst, "naive", time_limit=0.2)
+    assert sol.status in ("OPTIMAL", "TIMEOUT")
+    assert check_order(inst, sol.order).is_dvop
 
 
 def test_bench_grid(g6a, g6b):
@@ -143,7 +170,7 @@ def test_csv_rejects_foreign_header():
 
 
 def mk(inst, method, status, obj, t):
-    return BenchRow(inst, 6, 0.5, 2, method, status, obj, t, 0, 0, 0)
+    return BenchRow(inst, 6, 0.5, 2, method, status, obj, SolveStats(time_ms=t))
 
 
 HAND = [

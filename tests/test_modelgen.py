@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import ddvop.modelgen as modelgen
 from conftest import small_instances
 from ddvop.graph import extendable_k_cliques
 from ddvop.modelgen import (
@@ -62,6 +63,22 @@ def test_unordered_clique_variant(g6a, model):
     _, summary = export(g6a, model, unordered_cliques=True)
     assert verify_counts(summary, g6a)
     assert summary.variables["kappa"][0] == len(extendable_k_cliques(g6a))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_verify_counts_sees_a_dropped_row(g6a, model, monkeypatch):
+    # The raw counts are tallied from the rows export writes, so an
+    # export that loses one constraint row fails the check.
+    real = modelgen._Lp.constraint
+    calls = []
+
+    def drop_first(self, *args):
+        calls.append(args)
+        if len(calls) > 1:
+            real(self, *args)
+
+    monkeypatch.setattr(modelgen._Lp, "constraint", drop_first)
+    assert not verify_counts(export(g6a, model)[1], g6a)
 
 
 def test_verify_counts_wrong_instance(g6a, g6b):

@@ -5,7 +5,7 @@ and gives every later vertex at least K earlier neighbors; vertices with
 exactly K earlier neighbors are doubles and each one doubles the size of
 the downstream search tree.  This package finds orders minimizing either
 the number of doubles or the implied tree node count, via a brute-force
-oracle, a branch-and-bound solver, and two master/subproblem
+oracle, an exact closure search, and two master/subproblem
 decompositions, plus presolve reductions, LP model export, instance
 generators, and a benchmark harness.  Every solver route takes
 SolveOptions and returns a Solution with its SolveStats; those shared

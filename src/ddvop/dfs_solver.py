@@ -1,28 +1,43 @@
-"""Branch and bound over vertex orders, one rank at a time.
+"""Exact closure search over vertex orders, for either objective.
 
-The search extends a partial order rank by rank.  Ranks up to K admit
-only vertices adjacent to everything placed so far, with the initial
-clique kept in increasing vertex order to break its permutation
-symmetry; later ranks admit any vertex with at least K placed
-neighbors.  A vertex placed with exactly K placed neighbors is a
-double, which drives both objective bounds.  Presolve fixings and
-cover inequalities prune ranks where the double bit is forced.
+Roots are the (K+1)-cliques; their rank-K vertex is the first double.
+After each placement the set is closed: every unplaced vertex with more
+than K placed neighbors is placed, until none is left.  Such a vertex
+is never a double.  From a closed set every placeable vertex has exactly
+K placed neighbors, so the only branch is which one is the next double.
+The cost to finish depends on the closed mask alone and is memoized.
+min-double: a branch costs 1 + rest, a root 1 + rest.  min-nodes, in
+units of the current width w: the double and the g vertices its closure
+adds sit at width 2w, so a branch costs 2(1 + g + rest) and a root
+K + 2(1 + g + rest).
 
-The shared result types live in `solution`; this module also holds the
-formulation validator used by the property tests: given an order and a
-double pattern, check them against each of the four static formulations
-of the problem (rank-assignment integer program, rank-variable
-constraint model, vertex-variable constraint model, and the combined
-channeled model).
+Proof that closing loses nothing (the feasibility step of Cassioli,
+Gunluk, Lavor and Liberti, DAM 2015, carried to both objectives).  In
+an optimal order let prefix P hold at least K+1 vertices and let u, at
+rank q > |P|, have more than K neighbors in P.  Move u to rank |P|,
+where it is no double.  Each vertex it jumps over gains at most a
+predecessor, so the order stays valid and no double bit rises; later
+vertices keep theirs.  So doubles cannot grow, nor can any width from
+rank q on.  A jumped vertex sits at most at its old width, and u at
+w(|P|-1) <= w(q), the width of the rank it left: nodes cannot grow.
+Repeating for |P| = K+1, K+2, ... gives an optimal order whose every
+run of non-doubles is the closure of the set before it; that order is
+in the search, and every order the search builds is valid.
+
+On TIMEOUT the incumbent is the best order over the roots whose search
+finished, or none.  The module also holds the formulation validator
+used by the property tests: it checks an order and a double pattern
+against each of the four static formulations (rank-assignment IP,
+rank-variable CP, vertex-variable CP, and the combined channeled model).
 """
 
 from __future__ import annotations
 
 import time
+from math import inf
 
-from .graph import Instance
-from .order import DoublePattern, VertexOrder, check_order, greedy_dvop
-from .presolve import PresolveResult, full_presolve
+from .graph import Instance, enumerate_cliques
+from .order import DoublePattern, VertexOrder, check_order
 from .solution import OBJECTIVES, Deadline, Solution, SolveOptions, SolveStats
 
 MODELS = ("IP", "CP-RANK", "CP-VERTEX", "CP-COMBINED")
@@ -31,103 +46,82 @@ MODELS = ("IP", "CP-RANK", "CP-VERTEX", "CP-COMBINED")
 def solve(
     inst: Instance, objective: str = "min-double", opts: SolveOptions | None = None
 ) -> Solution:
-    """Exact branch and bound for either objective."""
+    """Exact closure search for either objective."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     stats = SolveStats()
     t0 = time.monotonic()
     try:
-        return _branch_and_bound(inst, objective, opts or SolveOptions(), stats)
+        return _closure_search(inst, objective, opts or SolveOptions(), stats)
     finally:
         stats.time_ms = (time.monotonic() - t0) * 1000.0
 
 
-def _branch_and_bound(
+def _close(adj: tuple[int, ...], K: int, mask: int) -> tuple[int, list[int], list[int]]:
+    """The closure of mask, the vertices it added in order, and its next doubles."""
+    added: list[int] = []
+    while True:
+        grown = mask
+        doubles = []
+        for v, nbrs in enumerate(adj):
+            if not mask >> v & 1:
+                placed = (nbrs & grown).bit_count()
+                if placed > K:
+                    grown |= 1 << v
+                    added.append(v)
+                elif placed == K:
+                    doubles.append(v)
+        if grown == mask:
+            return mask, added, doubles
+        mask = grown
+
+
+def _closure_search(
     inst: Instance, objective: str, opts: SolveOptions, stats: SolveStats
 ) -> Solution:
     deadline = Deadline(opts.time_limit)
-    pres: PresolveResult | None = full_presolve(inst) if opts.use_presolve else None
-    if pres is not None and pres.infeasible:
-        return Solution("INFEASIBLE", None, None, None, stats)
-    fixed_zero = pres.fixed_zero if pres else frozenset()
-    fixed_one = pres.fixed_one if pres else frozenset()
-    covers_by_last: dict[int, list[frozenset[int]]] = {}
-    if pres:
-        for cover in pres.cover_inequalities:
-            covers_by_last.setdefault(max(cover), []).append(cover)
-
-    n, K = inst.n, inst.K
-    adj = inst.adj_bits
+    adj, K = inst.adj_bits, inst.K
+    full = (1 << inst.n) - 1
     minimize_nodes = objective == "min-nodes"
+    # Closed mask -> (cost to finish, next double); the cost is inf when stuck.
+    memo: dict[int, tuple[float, int]] = {full: (0, -1)}
 
-    best_value: int | None = None
-    best_order: VertexOrder | None = None
-    warm = greedy_dvop(inst)
-    if warm is not None:
-        w_order, w_report = warm
-        best_value = w_report.total_nodes if minimize_nodes else w_report.double_count
-        best_order = w_order
-
-    perm: list[int] = []
-    bits: list[int] = []
-
-    def rec(mask: int, dcount: int, nodes_sum: int, level: int) -> None:
-        nonlocal best_value, best_order
+    def branch(mask: int) -> float:
+        """Cost of closing mask, whose newest vertex is a double, and finishing."""
         if deadline.expired():
             raise TimeoutError
-        p = len(perm)
-        if p == n:
-            value = nodes_sum if minimize_nodes else dcount
-            if best_value is None or value < best_value:
-                best_value = value
-                best_order = VertexOrder(tuple(perm))
-            return
-        if best_value is not None:
-            bound = nodes_sum + (n - p) * level if minimize_nodes else dcount
-            if bound >= best_value:
-                return
-        r = p
-        cands: list[tuple[int, int]] = []
-        for v in range(n):
-            if mask >> v & 1:
-                continue
-            pred = (adj[v] & mask).bit_count()
-            if r <= K:
-                # Clique prefix: adjacent to every placed vertex, ascending.
-                if pred == r and (r == 0 or v > perm[r - 1]):
-                    cands.append((pred, v))
-            elif pred >= K:
-                cands.append((pred, v))
-        cands.sort(key=lambda t: (-t[0], t[1]))
-        for pred, v in cands:
-            bit = 1 if (r >= K and pred == K) else 0
-            if bit and r in fixed_zero:
-                continue
-            if not bit and r in fixed_one:
-                continue
-            if not bit and any(
-                all(bits[q] == 0 for q in cover if q < r)
-                for cover in covers_by_last.get(r, ())
-            ):
-                continue
-            new_level = level * (bit + 1) if r >= K else 1
-            stats.choice_points += 1
-            perm.append(v)
-            bits.append(bit)
-            rec(mask | (1 << v), dcount + bit, nodes_sum + new_level, new_level)
-            perm.pop()
-            bits.pop()
+        stats.choice_points += 1
+        nxt, added, doubles = _close(adj, K, mask)
+        if nxt not in memo:
+            pick = (inf, -1)
+            for v in doubles:  # a loop, not a generator: one frame per double
+                pick = min(pick, (branch(nxt | 1 << v), v))
+            memo[nxt] = pick
+        rest = memo[nxt][0]
+        return 2 * (1 + len(added) + rest) if minimize_nodes else 1 + rest
 
+    best, root, status = inf, 0, "OPTIMAL"
     try:
-        rec(0, 0, 0, 1)
-        status = "INFEASIBLE" if best_order is None else "OPTIMAL"
+        for clique in enumerate_cliques(inst, K + 1):
+            mask = sum(1 << v for v in clique.members)
+            value = branch(mask) + (K if minimize_nodes else 0)
+            if value < best:
+                best, root = value, mask
     except TimeoutError:
         status = "TIMEOUT"
-    if best_order is None:
-        return Solution(status, None, None, None, stats)
-    report = check_order(inst, best_order)
+    if best == inf:
+        return Solution("INFEASIBLE" if status == "OPTIMAL" else status, None, None, None, stats)
+    perm = [v for v in range(inst.n) if root >> v & 1]
+    mask, added, _ = _close(adj, K, root)
+    perm += added
+    while mask != full:
+        v = memo[mask][1]
+        mask, added, _ = _close(adj, K, mask | 1 << v)
+        perm += [v] + added
+    order = VertexOrder(tuple(perm))
+    report = check_order(inst, order)
     assert report.is_dvop
-    return Solution(status, best_value, best_order, report.doubles, stats)
+    return Solution(status, int(best), order, report.doubles, stats)
 
 
 def _prefix_neighbor_count(inst: Instance, perm: tuple[int, ...], v: int, r: int) -> int:

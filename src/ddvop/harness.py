@@ -32,11 +32,12 @@ METHODS = ("oracle", "dfs", "naive", "witness")
 # Methods built around double-pattern masters cannot minimize node counts.
 DOUBLE_ONLY_METHODS = ("naive", "witness")
 
-# Largest n a solve accepts.  Every search recurses one frame per rank, so
-# n near Python's default recursion limit of 1000 dies in RecursionError;
-# 500 leaves half that limit to the callers (CLI, bench, a test runner).
-# Larger n is out of reach anyway: the O(n^3) greedy warm start alone
-# takes tens of seconds at a few hundred vertices.
+# Largest n a solve accepts.  Every search recurses up to one frame per
+# rank (dfs: one per double), so n near Python's default recursion limit
+# of 1000 dies in RecursionError; 500 leaves half that limit to the
+# callers (CLI, bench, a test runner).
+# Larger n is out of reach anyway for naive and witness: their O(n^3)
+# greedy pass alone takes tens of seconds at a few hundred vertices.
 MAX_N = 500
 
 # The solve stats CSV prints RESULT_HEADER; a bench row prefixes the instance.

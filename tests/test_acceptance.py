@@ -214,9 +214,11 @@ def test_criterion_05_cross_solver_equivalence(corpus_runs):
     runs, elapsed = corpus_runs
     assert len(runs) == 70
     disagreements = []
+    skipped = []
     for name, run in runs.items():
         for method, sol in run.solutions.items():
             if sol.status == "TIMEOUT":
+                skipped.append((name, method))
                 continue
             if run.oracle_value is None:
                 if sol.status != "INFEASIBLE":
@@ -226,7 +228,12 @@ def test_criterion_05_cross_solver_equivalence(corpus_runs):
                     disagreements.append(
                         (name, method, sol.status, sol.objective, run.oracle_value)
                     )
+    # A TIMEOUT has no answer to compare; every skipped pair is reported.
+    print(f"criterion 5: {len(skipped)} TIMEOUT pairs skipped")
+    for pair in skipped:
+        print(f"  skipped {pair[0]} {pair[1]}")
     assert disagreements == []
+    assert [p for p in skipped if p[1] == "dfs"] == []
     assert elapsed < 600.0, elapsed
     print(f"criterion 5: PASS ({elapsed:.0f}s for 70 instances)")
 
@@ -242,10 +249,11 @@ def test_criterion_06_presolve_soundness(corpus_runs):
             bits = check_order(run.inst, order).doubles.bits
             assert result.satisfied_by(bits), (name, order.perm)
         # Optima already match the presolve-free oracle per criterion 5;
-        # re-check the presolve-enabled branch-and-bound value directly.
-        sol = run.solutions["dfs"]
-        if sol.status == "OPTIMAL":
-            assert sol.objective == run.oracle_value, name
+        # re-check the values of the routes that read presolve directly.
+        for method in ("naive", "witness"):
+            sol = run.solutions[method]
+            if sol.status == "OPTIMAL":
+                assert sol.objective == run.oracle_value, (name, method)
     print("criterion 6: PASS")
 
 

@@ -1,15 +1,20 @@
-"""Branch-and-bound solver vs the oracle, plus the formulation validator."""
+"""Closure search vs the oracle and, above its cap, vs naive and witness;
+plus the formulation validator."""
 
 import itertools
+import time
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_timeout_incumbent, small_instances
+from conftest import assert_timeout_incumbent, path_edges, small_instances
 from ddvop.dfs_solver import MODELS, SolveOptions, solve, validate_formulation
+from ddvop.graph import Instance
+from ddvop.instgen import GenerationError, gen_synthetic_detailed
+from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
-from ddvop.order import DoublePattern, check_order
+from ddvop.order import DoublePattern, VertexOrder, check_order
+from ddvop.witness_decomp import solve_witness
 
 EXPECT = {
     "g6a": (2, 12),
@@ -22,6 +27,8 @@ EXPECT = {
 }
 
 
+# use_presolve stays a parameter of the two tests below: dfs reads no
+# presolve, so its answers must not depend on the option.
 @pytest.mark.parametrize("fixture", sorted(EXPECT))
 @pytest.mark.parametrize("use_presolve", [True, False])
 def test_frozen_optima(fixture, use_presolve, request):
@@ -51,6 +58,20 @@ def test_timeout(g6a):
     sol = solve(g6a, "min-double", SolveOptions(time_limit=0.0))
     assert sol.status == "TIMEOUT"
     assert_timeout_incumbent(g6a, sol)
+    # No root finished, and no greedy pass stands in for one.
+    assert sol.order is None
+
+
+def test_timeout_keeps_time_limit():
+    # The first of the 399 roots of a 400-vertex path finishes well within
+    # the limit, all of them do not: the search stops at the limit and
+    # keeps that root's order, with no greedy pass after it.
+    inst = Instance.build(400, 1, path_edges(400))
+    t0 = time.monotonic()
+    sol = solve(inst, "min-double", SolveOptions(time_limit=0.5))
+    assert time.monotonic() - t0 < 1.5
+    assert_timeout_incumbent(inst, sol)
+    assert sol.objective == 399
 
 
 @pytest.mark.parametrize(
@@ -58,10 +79,10 @@ def test_timeout(g6a):
     [
         ("g6a", SolveOptions(), "OPTIMAL", True),
         ("p5_k2", SolveOptions(), "INFEASIBLE", False),
-        ("p5_k2", SolveOptions(use_presolve=False), "INFEASIBLE", True),
+        ("g6a_k3", SolveOptions(), "INFEASIBLE", True),
         ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", False),
     ],
-    ids=["optimal", "presolve-infeasible", "search-infeasible", "timeout"],
+    ids=["optimal", "no-clique", "search-infeasible", "timeout"],
 )
 def test_time_recorded_on_every_exit(fixture, opts, status, searched, request):
     sol = solve(request.getfixturevalue(fixture), "min-double", opts)
@@ -82,10 +103,10 @@ def test_bad_objective(g6a):
 
 
 @settings(deadline=None)
-@given(small_instances(), st.booleans())
-def test_agrees_with_oracle_min_double(inst, use_presolve):
+@given(small_instances(max_n=10))
+def test_agrees_with_oracle_min_double(inst):
     ref = brute_optimum(inst, "min-double")
-    sol = solve(inst, "min-double", SolveOptions(use_presolve=use_presolve))
+    sol = solve(inst, "min-double")
     if ref is None:
         assert sol.status == "INFEASIBLE"
     else:
@@ -95,16 +116,52 @@ def test_agrees_with_oracle_min_double(inst, use_presolve):
 
 
 @settings(deadline=None)
-@given(small_instances(), st.booleans())
-def test_agrees_with_oracle_min_nodes(inst, use_presolve):
+@given(small_instances(max_n=10))
+def test_agrees_with_oracle_min_nodes(inst):
     ref = brute_optimum(inst, "min-nodes")
-    sol = solve(inst, "min-nodes", SolveOptions(use_presolve=use_presolve))
+    sol = solve(inst, "min-nodes")
     if ref is None:
         assert sol.status == "INFEASIBLE"
     else:
         assert sol.status == "OPTIMAL"
         assert sol.objective == ref.value
         assert check_order(inst, sol.order).total_nodes == ref.value
+
+
+# Planted instances above the oracle cap: round(n/6) doubles and noise 0.1,
+# from the first seed (0, 1, ...) the generator accepts.  The planted order
+# is the identity, so it bounds both optima.
+PLANTED_GRID = [
+    (14, 2), (16, 3), (18, 4), (22, 2), (22, 4),
+    (26, 3), (32, 2), (32, 4), (40, 3), (40, 4),
+]
+
+
+def planted(n, K):
+    for seed in itertools.count():
+        try:
+            return gen_synthetic_detailed(K, round(n / 6), 0.1, n, seed)
+        except GenerationError:
+            continue
+
+
+@pytest.mark.parametrize("n,K", PLANTED_GRID)
+def test_agrees_above_oracle_cap(n, K):
+    inst, marks, _, _ = planted(n, K)
+    identity = check_order(inst, VertexOrder(tuple(range(n))))
+    assert identity.is_dvop
+    sd = solve(inst, "min-double", SolveOptions(time_limit=10.0))
+    sn = solve(inst, "min-nodes", SolveOptions(time_limit=10.0))
+    assert sd.status == sn.status == "OPTIMAL"
+    assert check_order(inst, sd.order).double_count == sd.objective <= sum(marks)
+    assert check_order(inst, sn.order).total_nodes == sn.objective <= identity.total_nodes
+    for route in (solve_naive, solve_witness):
+        sol = route(inst, SolveOptions(time_limit=0.5))
+        if sol.status == "OPTIMAL":
+            assert sol.objective == sd.objective, route.__name__
+        else:
+            assert_timeout_incumbent(inst, sol)
+            assert sol.objective is None or sol.objective >= sd.objective
 
 
 def iter_checked_orders(inst, limit=25):

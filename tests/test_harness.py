@@ -50,8 +50,9 @@ def test_dispatch_usage_errors(g6a):
 def triangle_sparse(n):
     """K = 2, feasible, with three triangles, all among vertices 0..4.
 
-    naive recurses about n frames deep on it, while the greedy warm
-    start stays cheap: it has only three initial cliques to try.
+    naive recurses about n frames deep on it and dfs one frame per
+    double (all but the first three vertices), while greedy stays cheap:
+    it has only three initial cliques to try.
     """
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     edges += [(v - 3, v) for v in range(4, n)] + [(v - 1, v) for v in range(4, n)]
@@ -64,9 +65,10 @@ def test_solver_ceiling_refuses_larger_n(method):
         solve_with_method(triangle_sparse(MAX_N + 1), method, time_limit=5.0)
 
 
-def test_solver_ceiling_admits_ceiling():
+@pytest.mark.parametrize("method", ["naive", "dfs"])
+def test_solver_ceiling_admits_ceiling(method):
     inst = triangle_sparse(MAX_N)
-    sol = solve_with_method(inst, "naive", time_limit=0.2)
+    sol = solve_with_method(inst, method, time_limit=0.2)
     assert sol.status in ("OPTIMAL", "TIMEOUT")
     assert check_order(inst, sol.order).is_dvop
 

@@ -112,7 +112,7 @@ def test_frozen_instances(fixture, want, use_presolve, nogood, request):
 
 
 def test_timeout(g6a):
-    # The greedy warm start is the incumbent, as in dfs and witness.
+    # The greedy warm start is the incumbent, as in witness.
     sol = solve_naive(g6a, SolveOptions(time_limit=0.0))
     assert sol.status == "TIMEOUT"
     assert sol.objective == 2 and sol.order is not None

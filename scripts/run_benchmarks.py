@@ -2,31 +2,16 @@
 
 Builds a grid of random instances, runs the requested methods on every
 one, and writes two CSVs under --out: the raw bench rows and the
-performance profile computed from them. Defaults reproduce the corpus
-the acceptance suite times (sizes 8/10/12, densities 0.3/0.4/0.5, K=3,
-seeds from 100).
+performance profile computed from them. Defaults reproduce the random
+half of the acceptance corpus (instgen.acceptance_corpus:
+sizes 8/10/12, densities 0.3/0.4/0.5, K=3, seeds from 100).
 """
 
 import argparse
 import pathlib
 
 from ddvop.harness import METHODS, bench_csv, perf_profile, profile_csv, run_bench
-from ddvop.instgen import GenerationError, gen_random
-
-
-def build_corpus(sizes, densities, K, count, seed):
-    grid = [(n, d) for n in sizes for d in densities]
-    instances = []
-    i = 0
-    while len(instances) < count:
-        n, d = grid[i % len(grid)]
-        try:
-            instances.append(gen_random(n, d, K, seed))
-        except GenerationError:
-            pass
-        i += 1
-        seed += 1
-    return instances
+from ddvop.instgen import random_grid
 
 
 def main(argv=None):
@@ -43,9 +28,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     methods = [m for m in args.methods.split(",") if m]
-    instances = build_corpus(
-        args.sizes, args.densities, args.clique_size, args.count, args.seed
-    )
+    grid = [(n, d) for n in args.sizes for d in args.densities]
+    instances = random_grid(grid, args.clique_size, args.count, args.seed)
     rows = run_bench(
         instances, methods, time_limit=args.time_limit, workers=args.workers
     )

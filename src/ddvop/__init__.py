@@ -6,13 +6,14 @@ exactly K earlier neighbors are doubles and each one doubles the size of
 the downstream search tree.  This package finds orders minimizing either
 the number of doubles or the implied tree node count, via a brute-force
 oracle, an exact closure search, and two master/subproblem
-decompositions, plus presolve reductions, LP model export, instance
+decompositions, plus presolve reductions, LP model export, a checker of
+an order against the paper's IP and CP formulations, instance
 generators, and a benchmark harness.  Every solver route takes
 SolveOptions and returns a Solution with its SolveStats; those shared
 types live in `solution`.
 """
 
-from .dfs_solver import solve, validate_formulation
+from .dfs_solver import solve
 from .graph import (
     DisconnectedGraphError,
     Instance,
@@ -30,7 +31,13 @@ from .harness import (
     solve_with_method,
 )
 from .instgen import GenerationError, Rng, gen_random, gen_synthetic
-from .modelgen import ModelSummary, export, formulation_sizes, verify_counts
+from .modelgen import (
+    ModelSummary,
+    export,
+    formulation_sizes,
+    validate_formulation,
+    verify_counts,
+)
 from .naive_decomp import solve_naive
 from .oracle import (
     OracleResult,

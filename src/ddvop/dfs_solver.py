@@ -25,10 +25,7 @@ run of non-doubles is the closure of the set before it; that order is
 in the search, and every order the search builds is valid.
 
 On TIMEOUT the incumbent is the best order over the roots whose search
-finished, or none.  The module also holds the formulation validator
-used by the property tests: it checks an order and a double pattern
-against each of the four static formulations (rank-assignment IP,
-rank-variable CP, vertex-variable CP, and the combined channeled model).
+finished, or none.
 """
 
 from __future__ import annotations
@@ -37,10 +34,8 @@ import time
 from math import inf
 
 from .graph import Instance, enumerate_cliques
-from .order import DoublePattern, VertexOrder, check_order
+from .order import VertexOrder, check_order
 from .solution import OBJECTIVES, Deadline, Solution, SolveOptions, SolveStats
-
-MODELS = ("IP", "CP-RANK", "CP-VERTEX", "CP-COMBINED")
 
 
 def solve(
@@ -122,106 +117,3 @@ def _closure_search(
     report = check_order(inst, order)
     assert report.is_dvop
     return Solution(status, int(best), order, report.doubles, stats)
-
-
-def _prefix_neighbor_count(inst: Instance, perm: tuple[int, ...], v: int, r: int) -> int:
-    """Neighbors of v among the first r vertices of the order."""
-    return sum(1 for j in range(r) if perm[j] in inst.neighbors[v])
-
-
-def _ip_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
-    n, K = inst.n, inst.K
-    if any(bits[r] != 0 for r in range(K)) or bits[K] != 1:
-        return False
-    for v in range(n):
-        for r in range(1, n):
-            lhs = _prefix_neighbor_count(inst, perm, v, r)
-            x_vr = 1 if perm[r] == v else 0
-            need = r if r <= K else K
-            if lhs < need * x_vr:
-                return False
-            if r >= K:
-                z_vr = 1 if (x_vr and not bits[r]) else 0
-                if lhs < (K + 1) * z_vr:
-                    return False
-                if x_vr - bits[r] > z_vr:
-                    return False
-    return True
-
-
-def _cp_rank_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
-    n, K = inst.n, inst.K
-    ranks = VertexOrder(perm).inverse
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in inst.edges and ranks[i] <= K and ranks[j] <= K:
-                return False
-    for v in range(n):
-        if ranks[v] >= K + 1:
-            preds = sum(1 for u in inst.neighbors[v] if ranks[u] < ranks[v])
-            if preds < K + (1 - bits[ranks[v]]):
-                return False
-    return True
-
-
-def _cp_vertex_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
-    n, K = inst.n, inst.K
-    if any(bits[r] != 0 for r in range(K)) or bits[K] != 1:
-        return False
-    for i in range(K):
-        for j in range(i + 1, K + 1):
-            if tuple(sorted((perm[i], perm[j]))) not in inst.edges:
-                return False
-    for r in range(K + 1, n):
-        if _prefix_neighbor_count(inst, perm, perm[r], r) < K + (1 - bits[r]):
-            return False
-    return True
-
-
-def _cp_combined_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
-    n, K = inst.n, inst.K
-    ranks = VertexOrder(perm).inverse
-    if any(bits[r] != 0 for r in range(K)) or bits[K] != 1:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in inst.edges and ranks[i] <= K and ranks[j] <= K:
-                return False
-    for i in range(K):
-        for j in range(i + 1, K + 1):
-            if tuple(sorted((perm[i], perm[j]))) not in inst.edges:
-                return False
-    # Rank view stays y-free; the double bit only constrains the vertex view.
-    for v in range(n):
-        if ranks[v] >= K + 1:
-            preds = sum(1 for u in inst.neighbors[v] if ranks[u] < ranks[v])
-            if preds < K:
-                return False
-    for r in range(K + 1, n):
-        if _prefix_neighbor_count(inst, perm, perm[r], r) < K + (1 - bits[r]):
-            return False
-    return True
-
-
-def validate_formulation(
-    inst: Instance, order: VertexOrder, doubles: DoublePattern, model: str
-) -> bool:
-    """Check an (order, pattern) assignment against one formulation.
-
-    The pattern is taken as given, not recomputed, so deliberately
-    tampered bits exercise exactly the constraints that should catch
-    them.
-    """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    perm = order.perm
-    bits = list(doubles.bits)
-    if len(perm) != inst.n or len(bits) != inst.n:
-        raise ValueError("order and pattern must match the instance size")
-    if model == "IP":
-        return _ip_ok(inst, perm, bits)
-    if model == "CP-RANK":
-        return _cp_rank_ok(inst, perm, bits)
-    if model == "CP-VERTEX":
-        return _cp_vertex_ok(inst, perm, bits)
-    return _cp_combined_ok(inst, perm, bits)

@@ -175,6 +175,46 @@ def gen_synthetic(
     return gen_synthetic_detailed(K, num_doubles, noise, n, seed)[0]
 
 
+def random_grid(
+    grid: list[tuple[int, float]], K: int, count: int, seed: int
+) -> list[Instance]:
+    """count random instances, cycling (n, density) through grid.  Draw i
+    uses seed + i; a draw the generator refuses is skipped, not retried."""
+    out: list[Instance] = []
+    i = 0
+    while len(out) < count:
+        n, density = grid[i % len(grid)]
+        try:
+            out.append(gen_random(n, density, K, seed + i))
+        except GenerationError:
+            pass
+        i += 1
+    return out
+
+
+def acceptance_corpus() -> list[Instance]:
+    """The 70-instance validation corpus: 50 random, then 20 planted.
+
+    Random: K = 3, n in (8, 10, 12) x density in (0.3, 0.4, 0.5), seeds
+    from 100.  Planted: seed s from 0 gives n = 8 + s % 5, K = 1 + s % 3,
+    1 + s % (n - K - 1) doubles and noise (s % 3) * 0.05; refused seeds
+    are skipped.
+    """
+    grid = [(n, d) for n in (8, 10, 12) for d in (0.3, 0.4, 0.5)]
+    out = random_grid(grid, 3, 50, 100)
+    seed = 0
+    while len(out) < 70:
+        n, K = 8 + seed % 5, 1 + seed % 3
+        try:
+            out.append(
+                gen_synthetic(K, 1 + seed % (n - K - 1), (seed % 3) * 0.05, n, seed)
+            )
+        except GenerationError:
+            pass
+        seed += 1
+    return out
+
+
 def random_instance_text(n: int, density: float, K: int, seed: int) -> str:
     inst, retries = gen_random_detailed(n, density, K, seed)
     return render_instance(

@@ -9,6 +9,9 @@ substituting a known order into an exported file to confirm every
 constraint and the objective value.  Summaries carry two counts per
 variable or constraint family: the raw number emitted and the rounded
 closed-form convention used by the formulation summary table.
+
+validate_formulation checks an order and a double pattern against the
+paper's IP (through its export) and its three CP formulations.
 """
 
 from __future__ import annotations
@@ -23,12 +26,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Instance, enumerate_cliques, extendable_k_cliques
-from .order import VertexOrder, check_order
+from .order import DoublePattern, VertexOrder, check_order
 from .witness_decomp import induce_witness_state
 
 MODELS = ("ip", "minnodes", "cycles", "ranks", "mp2", "ccg")
 
+# Measured, `export --model ip` on random graphs of density 0.5 (Python
+# 3.11): n = 30 wrote 0.39 M coefficients and peaked at 84 MB rss, n = 38
+# 0.99 M at 184 MB, n = 40 1.2 M at 221 MB.  So ip stops between n = 38
+# and 39, and a refused export (n = 45 or 100) peaks at 149 MB.
+MAX_NONZEROS = 1_000_000
+
 Term = tuple[int, str]
+
+
+class ModelTooLargeError(ValueError):
+    """An export would write more than MAX_NONZEROS constraint coefficients."""
 
 
 class _Lp:
@@ -48,12 +61,18 @@ class _Lp:
         self.generals: list[str] = []
         self.var_counts: Counter[str] = Counter()
         self.con_counts: Counter[str] = Counter()
+        self.nonzeros = 0
         self.warning = ""
 
     def constraint(
         self, family: str, name: str, terms: Sequence[Term], sense: str, rhs: int
     ) -> None:
         assert sense in ("<=", ">=", "=")
+        self.nonzeros += len(terms)
+        if self.nonzeros > MAX_NONZEROS:
+            raise ModelTooLargeError(
+                f"the model passes the export ceiling of {MAX_NONZEROS} nonzeros"
+            )
         self.cons.append((name, list(terms), sense, rhs))
         self.con_counts[family] += 1
 
@@ -712,6 +731,18 @@ def minnodes_level_counts(K: int, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _ip_assignment(K: int, perm: Sequence[int], bits: Sequence[int]) -> dict[str, int]:
+    """IP values of an order and a pattern: x from the order, y = the
+    pattern bits, and z = x and not y from rank K on."""
+    out: dict[str, int] = {}
+    for r, v in enumerate(perm):
+        out[f"x_{v}_{r}"] = 1
+        out[f"y_{r}"] = bits[r]
+        if r >= K and not bits[r]:
+            out[f"z_{v}_{r}"] = 1
+    return out
+
+
 def assignment_from_order(
     inst: Instance,
     order: VertexOrder,
@@ -728,14 +759,7 @@ def assignment_from_order(
     bits = report.doubles.bits
     out: dict[str, int] = {}
     if model in ("ip", "minnodes"):
-        for v in range(n):
-            out[f"x_{v}_{ranks[v]}"] = 1
-        for r in range(n):
-            out[f"y_{r}"] = bits[r]
-        for v in range(n):
-            r = ranks[v]
-            if r >= K and bits[r] == 0:
-                out[f"z_{v}_{r}"] = 1
+        out = _ip_assignment(K, order.perm, bits)
         if model == "minnodes":
             for r, cnt in enumerate(minnodes_level_counts(K, bits)):
                 out[f"m_{r}"] = cnt
@@ -766,3 +790,67 @@ def assignment_from_order(
         for v in range(n):
             out[f"r_{v}"] = ranks[v]
     return out
+
+
+# --- the paper's four formulations, checked on a given order and pattern ---
+
+FORMULATIONS = ("IP", "CP-RANK", "CP-VERTEX", "CP-COMBINED")
+
+
+def _cp_rank_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
+    # Rank variables: the vertices ranked K or lower are pairwise adjacent,
+    # and a vertex ranked above K has K + 1 - y earlier neighbors.
+    K = inst.K
+    ranks = VertexOrder(perm).inverse
+    head = [v for v in range(inst.n) if ranks[v] <= K]
+    if any(p not in inst.edges for p in itertools.combinations(head, 2)):
+        return False
+    return all(
+        sum(ranks[u] < ranks[v] for u in inst.neighbors[v]) >= K + 1 - bits[ranks[v]]
+        for v in range(inst.n)
+        if ranks[v] > K
+    )
+
+
+def _cp_vertex_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
+    # Vertex variables: y is 0 below rank K and 1 at K, the first K+1
+    # vertices are pairwise adjacent, and the vertex at rank r > K has
+    # K + 1 - y neighbors among the first r.
+    K = inst.K
+    if any(bits[:K]) or bits[K] != 1:
+        return False
+    if any(not inst.has_edge(u, v) for u, v in itertools.combinations(perm[: K + 1], 2)):
+        return False
+    return all(
+        len(inst.neighbors[perm[r]].intersection(perm[:r])) >= K + 1 - bits[r]
+        for r in range(K + 1, inst.n)
+    )
+
+
+def _cp_combined_ok(inst: Instance, perm: tuple[int, ...], bits: list[int]) -> bool:
+    # The channeled model: the rank view stays y-free (every vertex needs
+    # K predecessors), and the double bits constrain the vertex view.
+    return _cp_rank_ok(inst, perm, [1] * inst.n) and _cp_vertex_ok(inst, perm, bits)
+
+
+def validate_formulation(
+    inst: Instance, order: VertexOrder, doubles: DoublePattern, model: str
+) -> bool:
+    """Check an (order, pattern) assignment against one formulation.
+
+    The pattern is taken as given, not recomputed, so deliberately
+    tampered bits exercise exactly the constraints that should catch
+    them.  The IP is checked by substituting the assignment into its
+    exported LP.
+    """
+    if model not in FORMULATIONS:
+        raise ValueError(f"model must be one of {FORMULATIONS}")
+    perm = order.perm
+    bits = list(doubles.bits)
+    if len(perm) != inst.n or len(bits) != inst.n:
+        raise ValueError("order and pattern must match the instance size")
+    if model == "IP":
+        text, _ = export(inst, "ip")
+        return evaluate(parse_lp(text), _ip_assignment(inst.K, perm, bits))[0]
+    cp = {"CP-RANK": _cp_rank_ok, "CP-VERTEX": _cp_vertex_ok, "CP-COMBINED": _cp_combined_ok}
+    return cp[model](inst, perm, bits)

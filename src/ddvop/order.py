@@ -19,7 +19,7 @@ and the tree size is sum(nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graph import Clique, Instance, enumerate_cliques
 
@@ -37,13 +37,6 @@ class VertexOrder:
     def __post_init__(self) -> None:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation of 0..n-1")
-
-    @staticmethod
-    def from_ranks(ranks: Sequence[int]) -> "VertexOrder":
-        perm = [0] * len(ranks)
-        for v, r in enumerate(ranks):
-            perm[r] = v
-        return VertexOrder(tuple(perm))
 
     @property
     def n(self) -> int:
@@ -159,6 +152,26 @@ def greedy_from_clique(
     return order, check_order(inst, order)
 
 
+def greedy_roots(
+    inst: Instance,
+) -> tuple[Optional[tuple[VertexOrder, OrderReport]], list[Clique]]:
+    """The greedy order, and the initial (K+1)-cliques ranked by greedy.
+
+    One greedy completion per clique.  The order is the completion with
+    the fewest doubles (first clique wins ties), or None.  The cliques are
+    sorted by their completion's double count, those whose walk dead-ends
+    last; the sort is stable, so ties keep the lexicographic clique order.
+    """
+    best: Optional[tuple[VertexOrder, OrderReport]] = None
+    scored = []
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        got = greedy_from_clique(inst, clique)
+        scored.append((got[1].double_count if got else inst.n + 1, clique))
+        if got is not None and (best is None or got[1].double_count < best[1].double_count):
+            best = got
+    return best, [c for _, c in sorted(scored, key=lambda s: s[0])]
+
+
 def greedy_dvop(inst: Instance) -> Optional[tuple[VertexOrder, OrderReport]]:
     """Greedy order construction, one attempt per initial (K+1)-clique.
 
@@ -167,19 +180,7 @@ def greedy_dvop(inst: Instance) -> Optional[tuple[VertexOrder, OrderReport]]:
     order with the fewest doubles (first clique wins ties), or None when
     the instance has no valid order.
     """
-    best: Optional[tuple[VertexOrder, OrderReport]] = None
-    for clique in enumerate_cliques(inst, inst.K + 1):
-        got = greedy_from_clique(inst, clique)
-        if got is None:
-            continue
-        if best is None or got[1].double_count < best[1].double_count:
-            best = got
-    return best
-
-
-def initial_clique(inst: Instance, order: VertexOrder) -> Clique:
-    """The clique formed by the first K+1 vertices of a valid order."""
-    return Clique(tuple(sorted(order.perm[: inst.K + 1])))
+    return greedy_roots(inst)[0]
 
 
 STATUSES = ("OPTIMAL", "INFEASIBLE", "TIMEOUT", "ERROR")

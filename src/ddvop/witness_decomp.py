@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .graph import Clique, Instance, enumerate_cliques
-from .order import VertexOrder, check_order, greedy_dvop, greedy_from_clique
+from .order import VertexOrder, check_order, greedy_roots
 from .presolve import PresolveResult, full_presolve
 from .solution import Deadline, Solution, SolveOptions, SolveStats
 
@@ -252,6 +252,7 @@ def _witness_choices(
 
 def mp2_solve(
     inst: Instance,
+    roots: Sequence[Clique],
     cuts: Sequence[CycleCut],
     incumbent: Optional[int] = None,
     presolve_head: Optional[PresolveResult] = None,
@@ -260,8 +261,8 @@ def mp2_solve(
 ) -> Optional[WitnessState]:
     """Best witness state subject to the cut pool.
 
-    Outer enumeration of initial cliques (ordered by the double count of
-    their greedy completions, then lexicographically), inner DFS over
+    Outer enumeration of the initial cliques `roots`, in the order given
+    (solve_witness ranks them with greedy_roots), inner DFS over
     witness sets per non-clique vertex (most clique neighbors first;
     non-double choices before double ones, each lexicographically).
     Branches are pruned at `incumbent` doubles (strict cutoff, counting
@@ -273,22 +274,12 @@ def mp2_solve(
         return None
     n, K = inst.n, inst.K
     head_lb = _head_lower_bound(presolve_head, K)
-    cliques = enumerate_cliques(inst, K + 1)
-    if not cliques:
-        return None
-
-    def quality(c: Clique) -> tuple[int, tuple[int, ...]]:
-        got = greedy_from_clique(inst, c)
-        return (got[1].double_count if got else n + 1, c.members)
-
-    cliques.sort(key=quality)
-
     cutoff = incumbent
     if cutoff is not None and head_lb >= cutoff:
         return None
     best: Optional[WitnessState] = None
 
-    for cl in cliques:
+    for cl in roots:
         if stats is not None:
             stats.cliques_considered += 1
         members = set(cl.members)
@@ -407,12 +398,13 @@ def solve_witness(
             if head.infeasible:
                 return Solution("INFEASIBLE", None, None, None, stats)
 
-        warm = greedy_dvop(inst)
+        # One greedy pass gives the warm start and the order of the roots.
+        warm, roots = greedy_roots(inst)
         incumbent = warm[1].double_count if warm is not None else None
 
         cuts = _seed_cuts(inst, pre_break)
         while True:
-            state = mp2_solve(inst, cuts, incumbent, head, stats, deadline)
+            state = mp2_solve(inst, roots, cuts, incumbent, head, stats, deadline)
             stats.iterations += 1
             if state is None:
                 # A feasible instance always yields a state below the greedy

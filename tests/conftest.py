@@ -14,6 +14,7 @@ from hypothesis import assume
 
 from ddvop.graph import DisconnectedGraphError, Instance
 from ddvop.order import check_order
+from ddvop.witness_decomp import WitnessState
 
 G6A_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 2),
@@ -101,6 +102,15 @@ def p5_k2():
 @pytest.fixture
 def wheel6():
     return Instance.build(6, 2, WHEEL6_EDGES, name="wheel6")
+
+
+@pytest.fixture
+def g6b_state():
+    """The reference witness state of g6b: clique {0, 1, 3}, one double (4)."""
+    clique = (0, 1, 3)
+    arcs = [(v, u) for v in clique for u in clique if u != v]
+    arcs += [(4, 0), (4, 1), (2, 0), (2, 1), (2, 4), (5, 0), (5, 1), (5, 3)]
+    return WitnessState(frozenset(clique), frozenset(arcs), (0, 0, 0, 0, 1, 0))
 
 
 def assert_timeout_incumbent(inst, sol):

@@ -20,8 +20,8 @@ from ddvop.dfs_solver import Solution, SolveOptions, solve
 from ddvop.harness import METHODS, solve_with_method
 from ddvop.instgen import (
     GenerationError,
+    acceptance_corpus,
     gen_random,
-    gen_synthetic,
     gen_synthetic_detailed,
     synthetic_instance_text,
 )
@@ -44,7 +44,6 @@ from ddvop.oracle import (
 from ddvop.order import VertexOrder, check_order
 from ddvop.presolve import full_presolve
 from ddvop.witness_decomp import (
-    WitnessState,
     WitnessTrace,
     ef_validate,
     induce_witness_state,
@@ -55,7 +54,6 @@ from ddvop.witness_decomp import (
 
 TIME_LIMIT = 60.0
 ORDER_SCAN_CAP = 20_000
-RANDOM_GRID = [(n, d) for n in (8, 10, 12) for d in (0.3, 0.4, 0.5)]
 
 
 @dataclass
@@ -69,40 +67,9 @@ class CorpusRun:
     optimal_orders: list[VertexOrder] = field(default_factory=list)
 
 
-def build_random_corpus():
-    instances = []
-    seed = 100
-    i = 0
-    while len(instances) < 50:
-        n, d = RANDOM_GRID[i % len(RANDOM_GRID)]
-        try:
-            instances.append(gen_random(n, d, 3, seed))
-        except GenerationError:
-            pass
-        i += 1
-        seed += 1
-    return instances
-
-
-def build_synthetic_corpus():
-    instances = []
-    seed = 0
-    while len(instances) < 20:
-        n = 8 + (seed % 5)
-        K = 1 + (seed % 3)
-        nd = 1 + (seed % (n - K - 1))
-        noise = (seed % 3) * 0.05
-        try:
-            instances.append(gen_synthetic(K, nd, noise, n, seed))
-        except GenerationError:
-            pass
-        seed += 1
-    return instances
-
-
 @pytest.fixture(scope="module")
 def corpus():
-    return build_random_corpus() + build_synthetic_corpus()
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")
@@ -138,17 +105,6 @@ def corpus_runs(corpus):
                 run.optimal_orders.append(ref.order)
         runs[inst.name] = run
     return runs, time.perf_counter() - t0
-
-
-def reference_witness_state():
-    clique = (0, 1, 3)
-    arcs = [(v, u) for v in clique for u in clique if u != v]
-    arcs += [(4, 0), (4, 1), (2, 0), (2, 1), (2, 4), (5, 0), (5, 1), (5, 3)]
-    return WitnessState(
-        clique=frozenset(clique),
-        witness_arcs=frozenset(arcs),
-        doubles=(0, 0, 0, 0, 1, 0),
-    )
 
 
 def test_criterion_01_first_instance_ground_truth(g6a):
@@ -187,8 +143,8 @@ def test_criterion_03_infeasibility(g6a_k3):
     print("criterion 3: PASS")
 
 
-def test_criterion_04_second_instance_ground_truth(g6b):
-    state = reference_witness_state()
+def test_criterion_04_second_instance_ground_truth(g6b, g6b_state):
+    state = g6b_state
     assert state_violations(g6b, state) == []
     order = sp2_check(g6b, state)
     assert isinstance(order, VertexOrder)

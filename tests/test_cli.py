@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import G6A_EDGES, path_edges
+from ddvop import modelgen
 from ddvop.cli import SOLVE_STATS_HEADER, _solve_stats_csv, main
 from ddvop.graph import Instance, parse_instance, render_instance
 from ddvop.harness import (
@@ -191,6 +192,23 @@ def test_export_warning(p5_k2_file, capsys):
     out, err = capsys.readouterr()
     assert "infeasible" in out
     assert err.startswith("warning:")
+
+
+def test_export_ceiling_exit_2(g6a_file, tmp_path, monkeypatch, capsys):
+    # With the ceiling set to g6a's own ip size the export is written; one
+    # coefficient less and it is refused before anything is written.
+    text, _ = modelgen.export(Instance.build(6, 2, G6A_EDGES), "ip")
+    nonzeros = sum(len(c.terms) for c in modelgen.parse_lp(text).constraints)
+    monkeypatch.setattr(modelgen, "MAX_NONZEROS", nonzeros)
+    written = tmp_path / "at.lp"
+    assert main(["export", g6a_file, "--model", "ip", "-o", str(written)]) == 0
+    assert written.read_text().endswith("End\n")
+    monkeypatch.setattr(modelgen, "MAX_NONZEROS", nonzeros - 1)
+    refused = tmp_path / "above.lp"
+    assert main(["export", g6a_file, "--model", "ip", "-o", str(refused)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"error: the model passes the export ceiling of {nonzeros - 1}")
+    assert not refused.exists()
 
 
 def test_solve_and_bench_share_stats_columns():

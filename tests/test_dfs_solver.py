@@ -1,5 +1,5 @@
 """Closure search vs the oracle and, above its cap, vs naive and witness;
-plus the formulation validator."""
+plus the formulation validator (modelgen.validate_formulation)."""
 
 import itertools
 import time
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, path_edges, small_instances
-from ddvop.dfs_solver import MODELS, SolveOptions, solve, validate_formulation
+from ddvop.dfs_solver import SolveOptions, solve
 from ddvop.graph import Instance
 from ddvop.instgen import GenerationError, gen_synthetic_detailed
+from ddvop.modelgen import FORMULATIONS, validate_formulation
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import DoublePattern, VertexOrder, check_order
@@ -174,8 +175,16 @@ def iter_checked_orders(inst, limit=25):
 def test_validator_accepts_true_assignments(fixture, request):
     inst = request.getfixturevalue(fixture)
     for order, report in iter_checked_orders(inst):
-        for model in MODELS:
+        for model in FORMULATIONS:
             assert validate_formulation(inst, order, report.doubles, model)
+
+
+def flip_first(bits, start, value):
+    """The pattern with the first bit at or after start equal to value flipped."""
+    for r in range(start, len(bits)):
+        if bits[r] == value:
+            return DoublePattern(bits[:r] + (1 - value,) + bits[r + 1 :])
+    return None
 
 
 @pytest.mark.parametrize("fixture", ["g6a", "g6b", "g5k3a", "wheel6"])
@@ -183,12 +192,8 @@ def test_validator_rank_k_bit(fixture, request):
     # Clearing the forced rank-K bit escapes only the rank model, whose
     # constraints count doubles per rank rather than per placed vertex.
     inst = request.getfixturevalue(fixture)
-    K = inst.K
     for order, report in iter_checked_orders(inst):
-        bits = tuple(
-            0 if r == K else b for r, b in enumerate(report.doubles.bits)
-        )
-        faked = DoublePattern(bits)
+        faked = flip_first(report.doubles.bits, inst.K, 1)
         assert validate_formulation(inst, order, faked, "CP-RANK")
         for model in ("IP", "CP-VERTEX", "CP-COMBINED"):
             assert not validate_formulation(inst, order, faked, model)
@@ -198,27 +203,17 @@ def test_validator_rank_k_bit(fixture, request):
 def test_validator_spurious_double_tolerated(fixture, request):
     inst = request.getfixturevalue(fixture)
     for order, report in iter_checked_orders(inst):
-        bits = list(report.doubles.bits)
-        for r in range(inst.K + 1, inst.n):
-            if bits[r] == 0:
-                faked = DoublePattern(
-                    tuple(1 if q == r else b for q, b in enumerate(bits))
-                )
-                for model in MODELS:
-                    assert validate_formulation(inst, order, faked, model)
-                break
+        faked = flip_first(report.doubles.bits, inst.K + 1, 0)
+        if faked is not None:
+            for model in FORMULATIONS:
+                assert validate_formulation(inst, order, faked, model)
 
 
 @pytest.mark.parametrize("fixture", ["g6a", "g6b", "g5k3a", "wheel6"])
 def test_validator_hidden_double_rejected(fixture, request):
     inst = request.getfixturevalue(fixture)
     for order, report in iter_checked_orders(inst):
-        bits = list(report.doubles.bits)
-        for r in range(inst.K + 1, inst.n):
-            if bits[r] == 1:
-                faked = DoublePattern(
-                    tuple(0 if q == r else b for q, b in enumerate(bits))
-                )
-                for model in MODELS:
-                    assert not validate_formulation(inst, order, faked, model)
-                break
+        faked = flip_first(report.doubles.bits, inst.K + 1, 1)
+        if faked is not None:
+            for model in FORMULATIONS:
+                assert not validate_formulation(inst, order, faked, model)

@@ -1,15 +1,20 @@
 """Instance generators: deterministic RNG, random and planted families."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from ddvop import instgen
 from ddvop.graph import parse_instance
 from ddvop.instgen import (
     GenerationError,
     Rng,
+    acceptance_corpus,
     gen_random,
     gen_random_detailed,
     gen_synthetic,
@@ -207,3 +212,18 @@ def test_gen_synthetic_contract(K, nd, n, seed):
     report = check_order(inst, VertexOrder(tuple(range(n))))
     assert report.is_dvop
     assert report.double_count == nd
+
+
+def test_acceptance_corpus_matches_benchmark(monkeypatch):
+    # The benchmark keeps its own copy of the recipe; both must build the
+    # same 70 instances.  Its file is only read, never changed.
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    bench = [g.inst for g in workloads.WORKLOADS["acceptance"].generate(instgen)]
+    ours = acceptance_corpus()
+    assert len(ours) == len(bench) == 70
+    for a, b in zip(ours, bench):
+        assert (a.name, a.n, a.K, a.edges) == (b.name, b.n, b.K, b.edges)

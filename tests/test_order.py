@@ -16,7 +16,6 @@ from ddvop.order import (
     format_solution,
     greedy_dvop,
     greedy_from_clique,
-    initial_clique,
     parse_solution,
 )
 from ddvop.oracle import enumerate_valid_orders
@@ -26,7 +25,6 @@ def test_vertex_order_views():
     order = VertexOrder((3, 5, 2, 1, 0, 4))
     assert order.n == 6
     assert order.inverse == (4, 3, 2, 0, 5, 1)
-    assert VertexOrder.from_ranks(order.inverse) == order
     with pytest.raises(ValueError):
         VertexOrder((0, 0, 1))
 
@@ -111,13 +109,6 @@ def test_greedy_from_clique_stuck():
     inst = Instance.build(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
     assert greedy_from_clique(inst, Clique((0, 1, 2))) is None
     assert greedy_dvop(inst) is None
-
-
-def test_initial_clique(g6a):
-    order = VertexOrder((3, 5, 2, 1, 0, 4))
-    clique = initial_clique(g6a, order)
-    assert clique.members == (2, 3, 5)
-    assert all(g6a.has_edge(u, v) for u, v in [(2, 3), (2, 5), (3, 5)])
 
 
 def test_format_and_parse_solution(g6a):

@@ -1,15 +1,17 @@
 """Arc-witness decomposition: states, cycle cuts, and the full loop."""
 
 import itertools
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, small_instances
-from ddvop.graph import Instance
+from ddvop import order as order_module
+from ddvop.graph import Instance, enumerate_cliques
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
-from ddvop.order import VertexOrder, check_order
+from ddvop.order import VertexOrder, check_order, greedy_roots
 from ddvop.presolve import full_presolve
 from ddvop.solution import SolveOptions
 from ddvop.witness_decomp import (
@@ -23,22 +25,6 @@ from ddvop.witness_decomp import (
     sp2_check,
     state_violations,
 )
-
-
-def clique_arcs(members):
-    return [(v, u) for v in members for u in members if u != v]
-
-
-@pytest.fixture
-def g6b_state():
-    return WitnessState(
-        clique=frozenset({0, 1, 3}),
-        witness_arcs=frozenset(
-            clique_arcs((0, 1, 3))
-            + [(4, 0), (4, 1), (2, 0), (2, 1), (2, 4), (5, 0), (5, 1), (5, 3)]
-        ),
-        doubles=(0, 0, 0, 0, 1, 0),
-    )
 
 
 @pytest.fixture
@@ -184,8 +170,9 @@ def test_manual_loop_cut_soundness(fixture, request):
     ]
     cuts = []
     head = full_presolve(inst)
+    _, roots = greedy_roots(inst)
     for _ in range(200):
-        state = mp2_solve(inst, cuts, incumbent=None, presolve_head=head)
+        state = mp2_solve(inst, roots, cuts, incumbent=None, presolve_head=head)
         assert state is not None
         got = sp2_check(inst, state)
         if isinstance(got, VertexOrder):
@@ -212,6 +199,19 @@ def test_trace_hooks(g6a):
     assert ef_validate(g6a, state, order)
     for cut, cut_state in trace.cuts:
         assert not cut.satisfied_by(cut_state)
+
+
+def test_greedy_once_per_root(g6a, monkeypatch):
+    # One greedy completion per root clique and solve, not per master
+    # iteration: g6a takes two.
+    calls, greedy = [], order_module.greedy_from_clique
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ddvop") and getattr(module, "greedy_from_clique", None) is greedy:
+            monkeypatch.setattr(
+                module, "greedy_from_clique", lambda i, c: calls.append(c) or greedy(i, c)
+            )
+    assert solve_witness(g6a).stats.iterations == 2
+    assert sorted(calls, key=lambda c: c.members) == enumerate_cliques(g6a, 3)
 
 
 def test_timeout():

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import pathlib
+import sys
 
 from ddvop.instgen import GenerationError, gen_random, gen_synthetic
 from ddvop.oracle import simultaneous_optimum_probe
@@ -86,7 +87,8 @@ def main(argv=None):
         f"{feasible - wider} with a single-point frontier"
     )
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

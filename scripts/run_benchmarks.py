@@ -9,6 +9,7 @@ sizes 8/10/12, densities 0.3/0.4/0.5, K=3, seeds from 100).
 
 import argparse
 import pathlib
+import sys
 
 from ddvop.harness import METHODS, bench_csv, perf_profile, profile_csv, run_bench
 from ddvop.instgen import random_grid
@@ -45,7 +46,8 @@ def main(argv=None):
         f"{len(rows) - solved - infeasible} other"
     )
     print(f"wrote {args.out / 'bench.csv'} and {args.out / 'profile.csv'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

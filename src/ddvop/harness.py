@@ -83,12 +83,17 @@ class BenchRow:
         ]
 
 
-def _check_usage(methods: Sequence[str], objective: str) -> None:
-    """Reject an empty or unknown method list, or an unsupported objective."""
+def _check_usage(
+    methods: Sequence[str], objective: str, time_limit: Optional[float]
+) -> None:
+    """Reject an empty or unknown method list, an unsupported objective,
+    or a NaN or negative time limit (a NaN deadline never expires)."""
     if not methods:
         raise UsageError("at least one method is required")
     if objective not in OBJECTIVES:
         raise UsageError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise UsageError(f"time limit must be >= 0 seconds, got {time_limit}")
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"method must be one of {METHODS}, got {m!r}")
@@ -107,7 +112,7 @@ def solve_with_method(
     oracle_cap: int = DEFAULT_CAP,
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
-    _check_usage((method,), objective)
+    _check_usage((method,), objective, time_limit)
     if inst.n > MAX_N:
         raise UsageError(f"n = {inst.n} exceeds the solver ceiling of {MAX_N}")
     if method == "oracle":
@@ -174,7 +179,7 @@ def run_bench(
     At most one worker process per task and per CPU is started, however
     many are asked for.
     """
-    _check_usage(methods, objective)
+    _check_usage(methods, objective, time_limit)
     if workers < 1:
         raise UsageError("workers must be >= 1")
 

@@ -6,9 +6,13 @@ and rank-linked), the cycle-constraint-generation master with 2- and
 3-cycle seeds, and the witness master, all as deterministic CPLEX-style
 LP text for external MIP solvers.  A small parser and evaluator allow
 substituting a known order into an exported file to confirm every
-constraint and the objective value.  Summaries carry two counts per
-variable or constraint family: the raw number emitted and the rounded
-closed-form convention used by the formulation summary table.
+constraint and the objective value.
+
+Summaries carry two counts per variable or constraint family: the raw
+number of names or rows emitted, and the table count.  formulation_sizes
+is the one home of the table convention: a family takes its value from
+the model's row there, or its raw count when the row lacks it.
+verify_counts checks the raw counts against closed forms.
 
 validate_formulation checks an order and a double pattern against the
 paper's IP (through its export) and its three CP formulations.
@@ -187,9 +191,12 @@ def _kappa_name(c: tuple[int, ...]) -> str:
     return "kappa_" + "_".join(str(v) for v in c)
 
 
-def _trivial_model(lp: _Lp, why: str) -> None:
-    lp.comments.append(f"warning: {why}")
-    lp.warning = why
+_NO_CLIQUE = "no extendable K-clique; emitted trivially infeasible model"
+
+
+def _trivial_model(lp: _Lp) -> None:
+    lp.comments.append(f"warning: {_NO_CLIQUE}")
+    lp.warning = _NO_CLIQUE
     lp.obj_terms = [(1, "infeasible_dummy")]
     lp.constraint("infeasible", "force_one", [(1, "infeasible_dummy")], ">=", 1)
     lp.constraint("infeasible", "force_zero", [(1, "infeasible_dummy")], "<=", 0)
@@ -203,12 +210,7 @@ def _header(inst: Instance, model: str) -> list[str]:
     ]
 
 
-# Each exporter returns its model and the table count of every variable
-# and constraint family, in the order the summary lists them.
-Export = tuple[_Lp, dict[str, int], dict[str, int]]
-
-
-def _export_ip(inst: Instance, with_nodes: bool) -> Export:
+def _export_ip(inst: Instance, with_nodes: bool) -> _Lp:
     n, K = inst.n, inst.K
     lp = _Lp(_header(inst, "minnodes" if with_nodes else "ip"))
     if with_nodes:
@@ -246,13 +248,6 @@ def _export_ip(inst: Instance, with_nodes: bool) -> Export:
     lp.declare("x", [f"x_{v}_{r}" for v in range(n) for r in range(n)])
     lp.declare("y", [f"y_{r}" for r in range(n)])
     lp.declare("z", [f"z_{v}_{r}" for v in range(n) for r in range(K, n)])
-    variables = {"y": n, "x": n * n, "z": n * (n - K)}
-    constraints = {
-        "1-1 assignment": 2 * n,
-        "clique": n * n,
-        "fixing": K + 1,
-        "linking": 2 * (n * n - K - 1),
-    }
     if with_nodes:
         for r in range(K):
             lp.constraint("node fixing", f"mfix_r{r}", [(1, f"m_{r}")], "=", 1)
@@ -265,11 +260,7 @@ def _export_ip(inst: Instance, with_nodes: bool) -> Export:
             terms = [(1, f"m_{r}"), (-2, f"m_{r - 1}"), (-big, f"y_{r - 1}")]
             lp.constraint("node doubling", f"mdbl_r{r}", terms, ">=", -big)
         lp.declare("m", [f"m_{r}" for r in range(n)], general=True)
-        variables["m"] = n
-        constraints["node fixing"] = K
-        constraints["node monotone"] = n - K
-        constraints["node doubling"] = n - K
-    return lp, variables, constraints
+    return lp
 
 
 def _linking_rows(
@@ -292,19 +283,18 @@ def _linking_rows(
         lp.constraint("linking", f"link_v{i}", terms, ">=", K + 1)
 
 
-def _export_ordering(inst: Instance, model: str, unordered: bool) -> Export:
+def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
     n, K = inst.n, inst.K
-    m = len(inst.edges)
     lp = _Lp(_header(inst, model))
     cliques = ordered_extendable_cliques(inst, unordered)
     if not cliques:
-        _trivial_model(lp, "no extendable K-clique; emitted trivially infeasible model")
-        return lp, {"dummy": 1}, {"infeasible": 2}
+        _trivial_model(lp)
+        return lp
     lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
     lp.obj_const = -K
     edge_pairs = inst.sorted_edges()
+    family = "linear ordering"
     if model == "cycles":
-        family, table = "linear ordering", n * n + n * n * m
         p_names = [f"p_{i}_{j}" for i in range(n) for j in range(n) if i != j]
         for i, j in itertools.combinations(range(n), 2):
             terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
@@ -322,14 +312,13 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> Export:
         ]
         p_names.sort()
         if model == "ranks":
-            family, table = "linear ordering", m
             for i, j in edge_pairs:
                 for a, b in ((i, j), (j, i)):
                     terms = [(n, f"p_{a}_{b}"), (1, f"r_{a}"), (-1, f"r_{b}")]
                     lp.constraint(family, f"mtz_{a}_{b}", terms, "<=", n - 1)
         else:  # ccg master with 2- and 3-cycle seeds
             triangles = enumerate_cliques(inst, 3)
-            family, table = "cycle breaking cuts", m + 2 * len(triangles)
+            family = "cycle breaking cuts"
             for i, j in edge_pairs:
                 terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
                 lp.constraint(family, f"cyc2_{i}_{j}", terms, "<=", 1)
@@ -344,18 +333,14 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> Export:
     lp.declare("y", [f"y_{v}" for v in range(n)])
     lp.declare("kappa", [_kappa_name(c) for c in cliques])
     lp.declare("p", p_names)
-    variables = {"y": n, "kappa": n, "p": n * n if model == "cycles" else 2 * m}
-    constraints = {"clique selection": 1, "linking": n, family: table}
     if model == "ranks":
         lp.declare("r", [f"r_{v}" for v in range(n)], general=True)
         lp.bounds = [(0, f"r_{v}", n - 1) for v in range(n)]
-        variables["r"] = n
-    return lp, variables, constraints
+    return lp
 
 
-def _export_mp2(inst: Instance) -> Export:
+def _export_mp2(inst: Instance) -> _Lp:
     n, K = inst.n, inst.K
-    m = len(inst.edges)
     lp = _Lp(_header(inst, "mp2"))
     lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
     lp.obj_const = 1
@@ -379,13 +364,30 @@ def _export_mp2(inst: Instance) -> Export:
     lp.declare(
         "w", sorted(f"w_{a}_{b}" for u, v in inst.edges for a, b in ((u, v), (v, u)))
     )
-    variables = {"y": n, "kappa": n, "w": 2 * m}
-    constraints = {
-        "clique selection": 1,
-        "clique witness": n * (n - 1) // 2 + m,
-        "witness": n,
-    }
-    return lp, variables, constraints
+    return lp
+
+
+# The formulation_sizes row of an export's table counts, where it is not
+# the row of the same name.
+_TABLE_ROW = {"minnodes": "ip", "mp2": "witness"}
+
+
+def _with_table(
+    inst: Instance, model: str, variables: dict[str, int], constraints: dict[str, int]
+) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
+    """Pair each family's raw count with its table count.
+
+    A family the model's formulation_sizes row lists takes that value and
+    keeps the row's order; any other family takes its raw count and
+    follows in emission order.
+    """
+    row = formulation_sizes(inst)[_TABLE_ROW.get(model, model)]
+
+    def pair(raw: dict[str, int], table: dict[str, int]) -> dict[str, tuple[int, int]]:
+        order = [f for f in table if f in raw] + [f for f in raw if f not in table]
+        return {f: (raw[f], table.get(f, raw[f])) for f in order}
+
+    return pair(variables, row["variables"]), pair(constraints, row["constraints"])
 
 
 def export(
@@ -396,18 +398,19 @@ def export(
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if model in ("ip", "minnodes"):
-        lp, variables, constraints = _export_ip(inst, model == "minnodes")
+        lp = _export_ip(inst, model == "minnodes")
     elif model == "mp2":
-        lp, variables, constraints = _export_mp2(inst)
+        lp = _export_mp2(inst)
     else:
-        lp, variables, constraints = _export_ordering(inst, model, unordered_cliques)
+        lp = _export_ordering(inst, model, unordered_cliques)
+    variables, constraints = _with_table(inst, model, lp.var_counts, lp.con_counts)
     summary = ModelSummary(
         model=model,
         n=inst.n,
         m=len(inst.edges),
         K=inst.K,
-        variables={f: (lp.var_counts[f], t) for f, t in variables.items()},
-        constraints={f: (lp.con_counts[f], t) for f, t in constraints.items()},
+        variables=variables,
+        constraints=constraints,
         unordered_cliques=unordered_cliques,
         warning=lp.warning,
     )
@@ -416,88 +419,62 @@ def export(
 
 def _expected_summary(
     inst: Instance, model: str, unordered: bool
-) -> tuple[dict, dict, str]:
-    """Closed-form family counts recomputed from n, |E|, K."""
+) -> tuple[dict[str, int], dict[str, int], str]:
+    """Closed-form raw family counts and warning, from n, |E|, K."""
     n, K = inst.n, inst.K
     m = len(inst.edges)
-    if model in ("cycles", "ranks", "ccg"):
-        base = len(extendable_k_cliques(inst))
-        if base == 0:
-            return (
-                {"dummy": (1, 1)},
-                {"infeasible": (2, 2)},
-                "no extendable K-clique; emitted trivially infeasible model",
-            )
-        nkappa = base if unordered else base * math.factorial(K)
-    if model == "ip" or model == "minnodes":
-        variables = {"y": (n, n), "x": (n * n, n * n), "z": (n * (n - K), n * (n - K))}
+    if model in ("ip", "minnodes"):
+        variables = {"y": n, "x": n * n, "z": n * (n - K)}
         constraints = {
-            "1-1 assignment": (2 * n, 2 * n),
-            "clique": (n * (n - 1), n * n),
-            "fixing": (K + 1, K + 1),
-            "linking": (2 * n * (n - K), 2 * (n * n - K - 1)),
+            "1-1 assignment": 2 * n,
+            "clique": n * (n - 1),
+            "fixing": K + 1,
+            "linking": 2 * n * (n - K),
         }
         if model == "minnodes":
-            variables["m"] = (n, n)
-            constraints["node fixing"] = (K, K)
-            constraints["node monotone"] = (n - K, n - K)
-            constraints["node doubling"] = (n - K, n - K)
+            variables["m"] = n
+            constraints["node fixing"] = K
+            constraints["node monotone"] = n - K
+            constraints["node doubling"] = n - K
         return variables, constraints, ""
+    if model == "mp2":
+        variables = {"y": n, "kappa": n, "w": 2 * m}
+        constraints = {
+            "clique selection": 1,
+            "clique witness": n * (n - 1) // 2 + m,
+            "witness": n,
+        }
+        return variables, constraints, ""
+    base = len(extendable_k_cliques(inst))
+    if base == 0:
+        return {"dummy": 1}, {"infeasible": 2}, _NO_CLIQUE
+    nkappa = base if unordered else base * math.factorial(K)
+    variables = {"y": n, "kappa": nkappa, "p": 2 * m}
+    constraints = {"clique selection": 1, "linking": n}
     if model == "cycles":
-        variables = {"y": (n, n), "kappa": (nkappa, n), "p": (n * (n - 1), n * n)}
-        constraints = {
-            "linear ordering": (
-                n * (n - 1) // 2 + 2 * m * (n - 2),
-                n * n + n * n * m,
-            ),
-            "clique selection": (1, 1),
-            "linking": (n, n),
-        }
-        return variables, constraints, ""
-    if model == "ranks":
-        variables = {
-            "y": (n, n),
-            "kappa": (nkappa, n),
-            "p": (2 * m, 2 * m),
-            "r": (n, n),
-        }
-        constraints = {
-            "linear ordering": (2 * m, m),
-            "clique selection": (1, 1),
-            "linking": (n, n),
-        }
-        return variables, constraints, ""
-    if model == "ccg":
-        tri = len(enumerate_cliques(inst, 3))
-        variables = {"y": (n, n), "kappa": (nkappa, n), "p": (2 * m, 2 * m)}
-        constraints = {
-            "clique selection": (1, 1),
-            "linking": (n, n),
-            "cycle breaking cuts": (m + 2 * tri, m + 2 * tri),
-        }
-        return variables, constraints, ""
-    assert model == "mp2"
-    variables = {"y": (n, n), "kappa": (n, n), "w": (2 * m, 2 * m)}
-    constraints = {
-        "clique selection": (1, 1),
-        "clique witness": (n * (n - 1) // 2 + m, n * (n - 1) // 2 + m),
-        "witness": (n, n),
-    }
+        variables["p"] = n * (n - 1)
+        constraints["linear ordering"] = n * (n - 1) // 2 + 2 * m * (n - 2)
+    elif model == "ranks":
+        variables["r"] = n
+        constraints["linear ordering"] = 2 * m
+    else:
+        assert model == "ccg"
+        constraints["cycle breaking cuts"] = m + 2 * len(enumerate_cliques(inst, 3))
     return variables, constraints, ""
 
 
 def verify_counts(summary: ModelSummary, inst: Instance) -> bool:
-    """True iff the summary matches the closed-form counts for inst."""
+    """True iff the summary's raw counts and warning match the closed forms
+    for inst, and its table counts follow formulation_sizes."""
     if (summary.n, summary.m, summary.K) != (inst.n, len(inst.edges), inst.K):
         return False
     variables, constraints, warning = _expected_summary(
         inst, summary.model, summary.unordered_cliques
     )
-    return (
-        summary.variables == variables
-        and summary.constraints == constraints
-        and summary.warning == warning
-    )
+    expected = _with_table(inst, summary.model, variables, constraints)
+    return summary.warning == warning and (
+        summary.variables, summary.constraints
+    ) == expected
 
 
 def formulation_sizes(inst: Instance) -> dict[str, dict[str, dict[str, int]]]:
@@ -512,17 +489,17 @@ def formulation_sizes(inst: Instance) -> dict[str, dict[str, dict[str, int]]]:
         "cycles": {
             "variables": {"y": n, "kappa": n, "p": n * n},
             "constraints": {
-                "linear ordering": n * n + n * n * m,
                 "clique selection": 1,
                 "linking": n,
+                "linear ordering": n * n + n * n * m,
             },
         },
         "ranks": {
             "variables": {"y": n, "kappa": n, "p": 2 * m, "r": n},
             "constraints": {
-                "linear ordering": m,
                 "clique selection": 1,
                 "linking": n,
+                "linear ordering": m,
             },
         },
         "ccg": {
@@ -731,14 +708,18 @@ def minnodes_level_counts(K: int, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ip_assignment(K: int, perm: Sequence[int], bits: Sequence[int]) -> dict[str, int]:
+def _ip_assignment(
+    inst: Instance, perm: Sequence[int], bits: Sequence[int]
+) -> dict[str, int]:
     """IP values of an order and a pattern: x from the order, y = the
-    pattern bits, and z = x and not y from rank K on."""
+    pattern bits, and z_{v,r} = 1 when v sits at rank r >= K with at least
+    K + 1 earlier neighbors.  z comes from the order, not from the bits,
+    so the dbl rows refuse a pattern that hides a double."""
     out: dict[str, int] = {}
     for r, v in enumerate(perm):
         out[f"x_{v}_{r}"] = 1
         out[f"y_{r}"] = bits[r]
-        if r >= K and not bits[r]:
+        if r >= inst.K and len(inst.neighbors[v].intersection(perm[:r])) > inst.K:
             out[f"z_{v}_{r}"] = 1
     return out
 
@@ -759,7 +740,7 @@ def assignment_from_order(
     bits = report.doubles.bits
     out: dict[str, int] = {}
     if model in ("ip", "minnodes"):
-        out = _ip_assignment(K, order.perm, bits)
+        out = _ip_assignment(inst, order.perm, bits)
         if model == "minnodes":
             for r, cnt in enumerate(minnodes_level_counts(K, bits)):
                 out[f"m_{r}"] = cnt
@@ -851,6 +832,6 @@ def validate_formulation(
         raise ValueError("order and pattern must match the instance size")
     if model == "IP":
         text, _ = export(inst, "ip")
-        return evaluate(parse_lp(text), _ip_assignment(inst.K, perm, bits))[0]
+        return evaluate(parse_lp(text), _ip_assignment(inst, perm, bits))[0]
     cp = {"CP-RANK": _cp_rank_ok, "CP-VERTEX": _cp_vertex_ok, "CP-COMBINED": _cp_combined_ok}
     return cp[model](inst, perm, bits)

@@ -384,13 +384,14 @@ def solve_witness(
     """Master-subproblem loop with lifted cycle-breaking cuts.
 
     pre_break seeds the cut pool with the cuts of every 2-cycle (and
-    3-cycle) before the first master solve; see PRE_BREAK.
+    3-cycle) before the first master solve; see PRE_BREAK.  The greedy
+    warm start decides feasibility, so an infeasible instance returns
+    INFEASIBLE with no master solve.
     """
     opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
     deadline = Deadline(opts.time_limit)
-    warm = None
     try:
         head: Optional[PresolveResult] = None
         if opts.use_presolve:
@@ -399,18 +400,19 @@ def solve_witness(
                 return Solution("INFEASIBLE", None, None, None, stats)
 
         # One greedy pass gives the warm start and the order of the roots.
+        # Greedy completes some root exactly when a valid order exists.
         warm, roots = greedy_roots(inst)
-        incumbent = warm[1].double_count if warm is not None else None
+        if warm is None:
+            return Solution("INFEASIBLE", None, None, None, stats)
+        incumbent = warm[1].double_count
 
         cuts = _seed_cuts(inst, pre_break)
         while True:
             state = mp2_solve(inst, roots, cuts, incumbent, head, stats, deadline)
             stats.iterations += 1
-            if state is None:
-                # A feasible instance always yields a state below the greedy
-                # cutoff (its own induced witness assignment qualifies).
-                assert warm is None
-                return Solution("INFEASIBLE", None, None, None, stats)
+            # The master always finds a state below the greedy cutoff: the
+            # witness state the greedy order induces qualifies.
+            assert state is not None
             got = sp2_check(inst, state)
             if isinstance(got, VertexOrder):
                 report = check_order(inst, got)
@@ -428,8 +430,6 @@ def solve_witness(
             cuts.append(cut)
             stats.cuts += 1
     except TimeoutError:
-        if warm is None:
-            return Solution("TIMEOUT", None, None, None, stats)
         return Solution(
             "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats
         )

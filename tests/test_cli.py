@@ -258,6 +258,9 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["bench", "{g6a}", "--methods", "simplex"],
         ["gen", "random", "--n", "10", "--density", "0.0", "--k", "2"],
         ["gen", "synthetic", "--k", "2", "--doubles", "9", "--n", "8"],
+        ["solve", "{g6a}", "--time-limit", "nan"],
+        ["solve", "{g6a}", "--time-limit", "-1"],
+        ["bench", "{g6a}", "--time-limit", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, capsys):

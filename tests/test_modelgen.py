@@ -6,6 +6,7 @@ substituting an oracle-optimal order must satisfy every constraint with
 the expected objective value.
 """
 
+import dataclasses
 import itertools
 
 import hypothesis.strategies as st
@@ -85,6 +86,13 @@ def test_verify_counts_wrong_instance(g6a, g6b):
     assert not verify_counts(export(g6a, "ip")[1], g6b)
 
 
+def test_verify_counts_sees_a_wrong_table_count(g6a):
+    _, s = export(g6a, "ranks")
+    raw, table = s.constraints["linear ordering"]
+    wrong = {**s.constraints, "linear ordering": (raw, table + 1)}
+    assert not verify_counts(dataclasses.replace(s, constraints=wrong), g6a)
+
+
 @pytest.mark.parametrize("model", ["cycles", "ranks", "ccg"])
 def test_trivial_fallback_without_cliques(p5_k2, model):
     # The ordering models hang everything off extendable cliques; with
@@ -151,6 +159,19 @@ def test_minnodes_level_convention(g6a):
     assign = assignment_from_order(g6a, ident, "minnodes")
     ok, obj, _ = evaluate(parse_lp(text), assign)
     assert ok and obj == 17
+
+
+def test_ip_hidden_double_breaks_its_dbl_row(g6a):
+    # z comes from the order, so a pattern that clears a true double past
+    # rank K violates that vertex's dbl row and no other row.
+    perm = brute_optimum(g6a, "min-double").order.perm
+    bits = list(check_order(g6a, VertexOrder(perm)).doubles.bits)
+    r = bits.index(1, g6a.K + 1)
+    bits[r] = 0
+    ok, _, violations = evaluate(
+        parse_lp(export(g6a, "ip")[0]), modelgen._ip_assignment(g6a, perm, bits)
+    )
+    assert violations == [f"dbl_v{perm[r]}_r{r}: 1 <= 0"]
 
 
 @pytest.mark.parametrize("model", ["ip", "cycles", "ranks", "mp2"])

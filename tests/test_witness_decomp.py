@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import order as order_module
 from ddvop.graph import Instance, enumerate_cliques
+from ddvop.instgen import gen_random
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import VertexOrder, check_order, greedy_roots
 from ddvop.presolve import full_presolve
@@ -214,6 +215,15 @@ def test_greedy_once_per_root(g6a, monkeypatch):
     assert sorted(calls, key=lambda c: c.members) == enumerate_cliques(g6a, 3)
 
 
+def test_greedy_decides_infeasibility():
+    # Greedy completes no root clique, so no master solve runs; one master
+    # solve needs more than the 0.6 s limit to prove the same.
+    inst = gen_random(12, 0.4, 3, 116)
+    sol = solve_witness(inst, SolveOptions(time_limit=0.6))
+    assert sol.status == "INFEASIBLE"
+    assert sol.stats.iterations == 0
+
+
 def test_timeout():
     big = Instance.build(12, 3, list(itertools.combinations(range(12), 2)))
     sol = solve_witness(big, SolveOptions(time_limit=1e-6))
@@ -227,13 +237,13 @@ def test_timeout():
     [
         ("g6a", SolveOptions(), "OPTIMAL", None),
         ("p5_k2", SolveOptions(), "INFEASIBLE", 0),
-        ("g6a_k3", SolveOptions(), "INFEASIBLE", 1),
+        ("g6a_k3", SolveOptions(), "INFEASIBLE", 0),
         ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", 0),
     ],
     ids=[
         "optimal",
         "presolve-infeasible",
-        "master-infeasible",
+        "greedy-infeasible",
         "timeout",
     ],
 )

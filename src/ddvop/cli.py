@@ -2,9 +2,9 @@
 
 One executable, seven subcommands: solve/pareto/presolve work on an
 instance file, gen creates instance files, export emits LP models, and
-bench/profile drive batch comparisons.  The global flags --time-limit,
---seed, --workers, and --output are accepted both before and after the
-subcommand; the later occurrence wins.
+bench/profile drive batch comparisons.  Each subcommand takes only the
+flags it reads: every one takes -o/--output, solve and bench take
+--time-limit, the two gen kinds take --seed, and bench takes --workers.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from typing import Optional
 
 from .graph import Instance, parse_instance
 from .harness import (
+    MAX_N,
     METHODS,
     RESULT_HEADER,
+    UsageError,
     bench_csv,
     parse_bench_csv,
     perf_profile,
@@ -39,25 +41,20 @@ PRE_BREAK_MAP = {"none": "none", "2": "2cycles", "23": "2and3cycles"}
 SOLVE_STATS_HEADER = ",".join(RESULT_HEADER)
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """Global flags; suppress=True keeps the pre-subcommand value unless given."""
-
-    def dflt(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument(
-        "--time-limit", type=float, default=dflt(None), metavar="SECONDS",
-        help="cooperative wall-clock limit per solve",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=dflt(0), help="generator seed",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=dflt(1), help="bench worker processes",
-    )
-    parser.add_argument(
-        "-o", "--output", default=dflt(None), metavar="FILE",
+def _command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the -o flag every subcommand takes."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument(
+        "-o", "--output", metavar="FILE",
         help="write the main artifact here instead of stdout",
+    )
+    return p
+
+
+def _add_time_limit(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--time-limit", type=float, metavar="SECONDS",
+        help="cooperative wall-clock limit per solve",
     )
 
 
@@ -66,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ddvop",
         description="Exact solvers for minimum-double discretization orders.",
     )
-    _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("solve", help="run one method on one instance")
+    p = _command(sub, "solve", "run one method on one instance")
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--method", choices=METHODS, default="dfs")
     p.add_argument("--objective", choices=("double", "nodes"), default="double")
-    p.add_argument("--no-presolve", action="store_true")
+    p.add_argument("--no-presolve", action="store_true",
+                   help="naive method: skip the presolve fixings")
     p.add_argument(
         "--nogood", action="store_true",
         help="naive method: cut only the failing pattern instead of an IIS",
@@ -82,51 +79,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness method: seed 2-cycle (and 3-cycle) cuts")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="oracle enumeration size cap")
-    _add_common(p, suppress=True)
+    _add_time_limit(p)
 
-    p = sub.add_parser("pareto", help="objective image and Pareto frontier")
+    p = _command(sub, "pareto", "objective image and Pareto frontier")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_common(p, suppress=True)
 
-    p = sub.add_parser("presolve", help="print fixings and cover cuts")
+    p = _command(sub, "presolve", "print fixings and cover cuts")
     p.add_argument("instance")
     p.add_argument("--no-head", action="store_true",
                    help="skip the clique-based head analysis")
     p.add_argument("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET)
-    _add_common(p, suppress=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
     kinds = p.add_subparsers(dest="kind", required=True, metavar="KIND")
-    r = kinds.add_parser("random", help="independent edges at a target density")
+    r = _command(kinds, "random", "independent edges at a target density")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--density", type=float, required=True)
     r.add_argument("--k", type=int, required=True)
-    _add_common(r, suppress=True)
-    s = kinds.add_parser("synthetic", help="planted-order instance")
+    r.add_argument("--seed", type=int, default=0, help="generator seed")
+    s = _command(kinds, "synthetic", "planted-order instance")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--doubles", type=int, required=True)
     s.add_argument("--noise", type=float, default=0.0)
     s.add_argument("--n", type=int, required=True)
-    _add_common(s, suppress=True)
+    s.add_argument("--seed", type=int, default=0, help="generator seed")
 
-    p = sub.add_parser("export", help="write an LP model file")
+    p = _command(sub, "export", "write an LP model file")
     p.add_argument("instance")
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--unordered-cliques", action="store_true",
                    help="one rank labeling per clique instead of all K!")
-    _add_common(p, suppress=True)
 
-    p = sub.add_parser("bench", help="instance x method grid to CSV")
+    p = _command(sub, "bench", "instance x method grid to CSV")
     p.add_argument("instances", nargs="+", help="instance files")
     p.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--objective", choices=("double", "nodes"), default="double")
-    _add_common(p, suppress=True)
+    _add_time_limit(p)
+    p.add_argument("--workers", type=int, default=1, help="bench worker processes")
 
-    p = sub.add_parser("profile", help="performance-profile points from a bench CSV")
+    p = _command(sub, "profile", "performance-profile points from a bench CSV")
     p.add_argument("bench_csv", help="bench CSV file, or - for stdin")
-    _add_common(p, suppress=True)
 
     return parser
 
@@ -197,6 +191,8 @@ def cmd_presolve(ns: argparse.Namespace) -> int:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
+    if ns.n > MAX_N:
+        raise UsageError(f"n = {ns.n} exceeds the solver ceiling of {MAX_N}")
     if ns.kind == "random":
         text = random_instance_text(ns.n, ns.density, ns.k, ns.seed)
     else:

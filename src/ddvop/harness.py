@@ -32,10 +32,10 @@ METHODS = ("oracle", "dfs", "naive", "witness")
 # Methods built around double-pattern masters cannot minimize node counts.
 DOUBLE_ONLY_METHODS = ("naive", "witness")
 
-# Largest n a solve accepts.  Every search recurses up to one frame per
-# rank (dfs: one per double), so n near Python's default recursion limit
-# of 1000 dies in RecursionError; 500 leaves half that limit to the
-# callers (CLI, bench, a test runner).
+# Largest n a solve accepts, and so `ddvop gen` too.  Every search
+# recurses up to one frame per rank (dfs: one per double), so n near
+# Python's default recursion limit of 1000 dies in RecursionError; 500
+# leaves half that limit to the callers (CLI, bench, a test runner).
 # Larger n is out of reach anyway for naive and witness: their O(n^3)
 # greedy pass alone takes tens of seconds at a few hundred vertices.
 MAX_N = 500

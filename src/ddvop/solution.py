@@ -60,7 +60,7 @@ STATS_COLUMNS = tuple(f.name for f in fields(SolveStats))
 @dataclass(frozen=True)
 class SolveOptions:
     time_limit: float | None = None
-    use_presolve: bool = True  # read by naive and witness; dfs needs none
+    use_presolve: bool = True  # read by naive only; dfs and witness need none
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ the lift term allows cycles that fit inside the clique, where witnesses
 are mutual by design.  Looping master, subproblem, and cuts converges
 to an optimal order; the extended validator checks an accepted
 (clique, witnesses, doubles, order) against the full one-shot
-constraint set.
+constraint set.  Witness reads no presolve: one greedy pass decides
+feasibility and gives the master its cutoff and its ranked roots.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Optional, Sequence, Union
 
 from .graph import Clique, Instance, enumerate_cliques
 from .order import VertexOrder, check_order, greedy_roots
-from .presolve import PresolveResult, full_presolve
 from .solution import Deadline, Solution, SolveOptions, SolveStats
 
 PRE_BREAK = ("none", "2cycles", "2and3cycles")
@@ -221,19 +221,6 @@ def sp2_check(
     return VertexOrder(tuple(sorted(state.clique)) + tuple(topo))
 
 
-def _head_lower_bound(head: Optional[PresolveResult], K: int) -> int:
-    """Doubles forced beyond the clique, in vertex terms.
-
-    Each head fixing at a rank past K names a distinct non-clique double
-    of every valid order, and each cover inequality forces one more;
-    head covers never touch fixed ranks, so the contributions add up.
-    """
-    if head is None or head.skipped:
-        return 0
-    fixed = sum(1 for r in head.fixed_one if r > K)
-    return fixed + len(head.cover_inequalities)
-
-
 def _witness_choices(
     inst: Instance, clique: set[int], v: int
 ) -> list[tuple[frozenset[int], int]]:
@@ -254,30 +241,27 @@ def mp2_solve(
     inst: Instance,
     roots: Sequence[Clique],
     cuts: Sequence[CycleCut],
-    incumbent: Optional[int] = None,
-    presolve_head: Optional[PresolveResult] = None,
+    cutoff: int,
     stats: Optional[SolveStats] = None,
     deadline: Deadline = Deadline(None),
 ) -> Optional[WitnessState]:
-    """Best witness state subject to the cut pool.
+    """Best witness state below `cutoff` doubles, subject to the cut pool.
 
     Outer enumeration of the initial cliques `roots`, in the order given
     (solve_witness ranks them with greedy_roots), inner DFS over
     witness sets per non-clique vertex (most clique neighbors first;
     non-double choices before double ones, each lexicographically).
-    Branches are pruned at `incumbent` doubles (strict cutoff, counting
-    y only, not the +1 constant) and on cuts whose left side already
-    exceeds the right.  Absent when no clique exists or everything is
+    Branches are pruned at `cutoff` doubles (strict, counting y only,
+    not the +1 constant; each state found lowers it) and on cuts whose
+    left side already exceeds the right.  Absent when every state is
     pruned.
     """
-    if presolve_head is not None and presolve_head.infeasible:
-        return None
-    n, K = inst.n, inst.K
-    head_lb = _head_lower_bound(presolve_head, K)
-    cutoff = incumbent
-    if cutoff is not None and head_lb >= cutoff:
-        return None
+    n = inst.n
     best: Optional[WitnessState] = None
+    arcs_by_cut: dict[Arc, list[int]] = {}
+    for idx, c in enumerate(cuts):
+        for a in c.arcs:
+            arcs_by_cut.setdefault(a, []).append(idx)
 
     for cl in roots:
         if stats is not None:
@@ -293,10 +277,6 @@ def mp2_solve(
         ]
         if any(l > r for l, r in zip(cut_lhs, cut_rhs)):
             continue
-        arcs_by_cut: dict[Arc, list[int]] = {}
-        for idx, c in enumerate(cuts):
-            for a in c.arcs:
-                arcs_by_cut.setdefault(a, []).append(idx)
         rest = sorted(
             (v for v in range(n) if v not in members),
             key=lambda v: (-len(inst.neighbors[v] & members), v),
@@ -308,11 +288,9 @@ def mp2_solve(
             nonlocal best, cutoff
             if deadline.expired():
                 raise TimeoutError
-            if cutoff is not None and ycount >= cutoff:
+            if ycount >= cutoff:
                 return
             if idx == len(rest):
-                if ycount < head_lb:
-                    return
                 arcs = list(clique_arcs)
                 doubles = [0] * n
                 for v, (wset, y) in assigned.items():
@@ -327,7 +305,7 @@ def mp2_solve(
                 return
             v = rest[idx]
             for wset, y in choices[v]:
-                if cutoff is not None and ycount + y >= cutoff:
+                if ycount + y >= cutoff:
                     continue
                 if stats is not None:
                     stats.choice_points += 1
@@ -386,29 +364,24 @@ def solve_witness(
     pre_break seeds the cut pool with the cuts of every 2-cycle (and
     3-cycle) before the first master solve; see PRE_BREAK.  The greedy
     warm start decides feasibility, so an infeasible instance returns
-    INFEASIBLE with no master solve.
+    INFEASIBLE with no master solve; its double count is the master's
+    cutoff.  Only opts.time_limit is read: no presolve runs.
     """
     opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
     deadline = Deadline(opts.time_limit)
     try:
-        head: Optional[PresolveResult] = None
-        if opts.use_presolve:
-            head = full_presolve(inst)
-            if head.infeasible:
-                return Solution("INFEASIBLE", None, None, None, stats)
-
         # One greedy pass gives the warm start and the order of the roots.
         # Greedy completes some root exactly when a valid order exists.
         warm, roots = greedy_roots(inst)
         if warm is None:
             return Solution("INFEASIBLE", None, None, None, stats)
-        incumbent = warm[1].double_count
+        cutoff = warm[1].double_count
 
         cuts = _seed_cuts(inst, pre_break)
         while True:
-            state = mp2_solve(inst, roots, cuts, incumbent, head, stats, deadline)
+            state = mp2_solve(inst, roots, cuts, cutoff, stats, deadline)
             stats.iterations += 1
             # The master always finds a state below the greedy cutoff: the
             # witness state the greedy order induces qualifies.

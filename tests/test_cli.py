@@ -76,11 +76,21 @@ def test_solve_output_file(g6a_file, tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "s OPTIMAL 2 12"
 
 
-def test_solve_global_flag_positions(g6a_file, capsys):
-    # --time-limit is accepted before the subcommand too.
-    assert main(["--time-limit", "30", "solve", g6a_file]) == 0
-    out, _ = capsys.readouterr()
-    assert out.splitlines()[0] == "s OPTIMAL 2 12"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pareto", "{g6a}", "--time-limit", "5"],
+        ["export", "{g6a}", "--model", "ip", "--time-limit", "-5"],
+        ["solve", "{g6a}", "--seed", "3"],
+        ["--time-limit", "30", "solve", "{g6a}"],
+    ],
+)
+def test_flag_refused_where_unread(argv, g6a_file):
+    # Each subcommand takes only the flags it reads; argparse exits 2.
+    argv = [a.format(g6a=g6a_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_solve_infeasible(p5_k2_file, capsys):
@@ -163,18 +173,6 @@ def test_gen_synthetic(tmp_path, capsys):
     assert main(argv) == 0
     again, _ = capsys.readouterr()
     assert again == first
-
-
-def test_gen_seed_before_subcommand(capsys):
-    argv_pre = ["--seed", "5", "gen", "random", "--n", "8",
-                "--density", "0.5", "--k", "2"]
-    argv_post = ["gen", "random", "--n", "8", "--density", "0.5",
-                 "--k", "2", "--seed", "5"]
-    assert main(argv_pre) == 0
-    pre, _ = capsys.readouterr()
-    assert main(argv_post) == 0
-    post, _ = capsys.readouterr()
-    assert pre == post
 
 
 def test_export(g6a_file, tmp_path, capsys):
@@ -261,6 +259,8 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["solve", "{g6a}", "--time-limit", "nan"],
         ["solve", "{g6a}", "--time-limit", "-1"],
         ["bench", "{g6a}", "--time-limit", "nan"],
+        ["gen", "random", "--n", "501", "--density", "0.5", "--k", "2"],
+        ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "501"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, capsys):

@@ -13,7 +13,6 @@ from ddvop.graph import Instance, enumerate_cliques
 from ddvop.instgen import gen_random
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import VertexOrder, check_order, greedy_roots
-from ddvop.presolve import full_presolve
 from ddvop.solution import SolveOptions
 from ddvop.witness_decomp import (
     WitnessState,
@@ -135,6 +134,7 @@ def test_frozen_objectives(fixture, status, objective, pre_break, request):
         assert report.is_dvop and report.double_count == objective
 
 
+# witness reads no presolve, so its answer must not depend on the option.
 @pytest.mark.parametrize("use_presolve", [True, False])
 def test_option_grid_g6a(g6a, use_presolve):
     opts = SolveOptions(use_presolve=use_presolve)
@@ -170,10 +170,9 @@ def test_manual_loop_cut_soundness(fixture, request):
         if check_order(inst, o).double_count == ref.value
     ]
     cuts = []
-    head = full_presolve(inst)
     _, roots = greedy_roots(inst)
     for _ in range(200):
-        state = mp2_solve(inst, roots, cuts, incumbent=None, presolve_head=head)
+        state = mp2_solve(inst, roots, cuts, inst.n)
         assert state is not None
         got = sp2_check(inst, state)
         if isinstance(got, VertexOrder):
@@ -204,15 +203,32 @@ def test_trace_hooks(g6a):
 
 def test_greedy_once_per_root(g6a, monkeypatch):
     # One greedy completion per root clique and solve, not per master
-    # iteration: g6a takes two.
+    # iteration: g6a takes five (four cycle cuts).
     calls, greedy = [], order_module.greedy_from_clique
     for name, module in list(sys.modules.items()):
         if name.startswith("ddvop") and getattr(module, "greedy_from_clique", None) is greedy:
             monkeypatch.setattr(
                 module, "greedy_from_clique", lambda i, c: calls.append(c) or greedy(i, c)
             )
-    assert solve_witness(g6a).stats.iterations == 2
+    assert solve_witness(g6a).stats.iterations == 5
     assert sorted(calls, key=lambda c: c.members) == enumerate_cliques(g6a, 3)
+
+
+@pytest.mark.parametrize("fixture", ["g6a", "g6b", "wheel6", "p5_k2", "g6a_k3"])
+def test_reads_no_presolve(fixture, request, monkeypatch):
+    # Greedy decides feasibility and the master needs no head bound, so
+    # witness returns its frozen answer with presolve unreachable.
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness called presolve")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ddvop"):
+            for attr in ("full_presolve", "head_analysis"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    sol = solve_witness(request.getfixturevalue(fixture))
+    want = {f: (status, objective) for f, status, objective in FROZEN}
+    assert (sol.status, sol.objective) == want[fixture]
 
 
 def test_greedy_decides_infeasibility():
@@ -242,7 +258,7 @@ def test_timeout():
     ],
     ids=[
         "optimal",
-        "presolve-infeasible",
+        "no-clique",
         "greedy-infeasible",
         "timeout",
     ],

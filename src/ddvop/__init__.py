@@ -8,9 +8,10 @@ the number of doubles or the implied tree node count, via a brute-force
 oracle, an exact closure search, and two master/subproblem
 decompositions, plus presolve reductions, LP model export, a checker of
 an order against the paper's IP and CP formulations, instance
-generators, and a benchmark harness.  Every solver route takes
-SolveOptions and returns a Solution with its SolveStats; those shared
-types live in `solution`.
+generators, and a benchmark harness.  Every solver route takes a time
+limit and nothing else to tune, and returns a Solution with its
+SolveStats; those shared types live in `solution`.  No solver reads the
+presolve: `ddvop presolve` prints it, and the tests check it sound.
 """
 
 from .dfs_solver import solve
@@ -57,7 +58,7 @@ from .order import (
     parse_solution,
 )
 from .presolve import PresolveResult, full_presolve
-from .solution import Solution, SolveOptions, SolveStats
+from .solution import Solution, SolveStats
 from .witness_decomp import (
     WitnessState,
     ef_validate,
@@ -81,7 +82,6 @@ __all__ = [
     "PresolveResult",
     "Rng",
     "Solution",
-    "SolveOptions",
     "SolveStats",
     "UsageError",
     "VertexOrder",

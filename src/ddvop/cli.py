@@ -36,7 +36,6 @@ from .presolve import full_presolve, DEFAULT_CLIQUE_BUDGET
 from .solution import Solution
 
 OBJECTIVE_MAP = {"double": "min-double", "nodes": "min-nodes"}
-PRE_BREAK_MAP = {"none": "none", "2": "2cycles", "23": "2and3cycles"}
 
 SOLVE_STATS_HEADER = ",".join(RESULT_HEADER)
 
@@ -69,14 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--method", choices=METHODS, default="dfs")
     p.add_argument("--objective", choices=("double", "nodes"), default="double")
-    p.add_argument("--no-presolve", action="store_true",
-                   help="naive method: skip the presolve fixings")
     p.add_argument(
         "--nogood", action="store_true",
         help="naive method: cut only the failing pattern instead of an IIS",
     )
-    p.add_argument("--pre-break", choices=tuple(PRE_BREAK_MAP), default="none",
-                   help="witness method: seed 2-cycle (and 3-cycle) cuts")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="oracle enumeration size cap")
     _add_time_limit(p)
@@ -155,9 +150,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         ns.method,
         OBJECTIVE_MAP[ns.objective],
         time_limit=ns.time_limit,
-        use_presolve=not ns.no_presolve,
         nogood=ns.nogood,
-        pre_break=PRE_BREAK_MAP[ns.pre_break],
         oracle_cap=ns.cap,
     )
     if sol.order is not None:

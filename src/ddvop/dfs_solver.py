@@ -35,11 +35,11 @@ from math import inf
 
 from .graph import Instance, enumerate_cliques
 from .order import VertexOrder, check_order
-from .solution import OBJECTIVES, Deadline, Solution, SolveOptions, SolveStats
+from .solution import OBJECTIVES, Deadline, Solution, SolveStats
 
 
 def solve(
-    inst: Instance, objective: str = "min-double", opts: SolveOptions | None = None
+    inst: Instance, objective: str = "min-double", time_limit: float | None = None
 ) -> Solution:
     """Exact closure search for either objective."""
     if objective not in OBJECTIVES:
@@ -47,7 +47,7 @@ def solve(
     stats = SolveStats()
     t0 = time.monotonic()
     try:
-        return _closure_search(inst, objective, opts or SolveOptions(), stats)
+        return _closure_search(inst, objective, Deadline(time_limit), stats)
     finally:
         stats.time_ms = (time.monotonic() - t0) * 1000.0
 
@@ -72,9 +72,8 @@ def _close(adj: tuple[int, ...], K: int, mask: int) -> tuple[int, list[int], lis
 
 
 def _closure_search(
-    inst: Instance, objective: str, opts: SolveOptions, stats: SolveStats
+    inst: Instance, objective: str, deadline: Deadline, stats: SolveStats
 ) -> Solution:
-    deadline = Deadline(opts.time_limit)
     adj, K = inst.adj_bits, inst.K
     full = (1 << inst.n) - 1
     minimize_nodes = objective == "min-nodes"

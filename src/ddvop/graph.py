@@ -141,6 +141,7 @@ def parse_instance(text: str, name: str = "") -> Instance:
                 n, m, K = int(fields[2]), int(fields[3]), int(fields[4])
             except ValueError as exc:
                 raise MalformedHeaderError(f"line {lineno}: non-integer header field") from exc
+            header = lineno
             if n < 2 or m < 0:
                 raise MalformedHeaderError(f"line {lineno}: need n >= 2 and m >= 0")
             if not 0 < K < n:
@@ -167,6 +168,13 @@ def parse_instance(text: str, name: str = "") -> Instance:
             raise MalformedHeaderError(f"line {lineno}: unknown record '{fields[0]}'")
     if n is None:
         raise MalformedHeaderError("missing problem line")
+    # Checked before Instance allocates n neighbor sets, so a header with a
+    # huge n and few edges costs no memory; after the edge lines, so a bad
+    # edge is still reported at its own line.
+    if m < n - 1:
+        raise DisconnectedGraphError(
+            f"line {header}: {m} edges cannot connect {n} vertices"
+        )
     if len(edges) != m:
         raise MalformedHeaderError(f"header declares {m} edges, found {len(edges)}")
     return Instance(n=n, K=K, edges=frozenset(edges), name=name)
@@ -197,34 +205,40 @@ class Clique:
         return iter(self.members)
 
 
-def enumerate_cliques(inst: Instance, size: int) -> list[Clique]:
-    """All cliques of exactly the given cardinality, in lexicographic order.
+def iter_cliques(inst: Instance, size: int) -> Iterator[Clique]:
+    """Cliques of exactly the given cardinality, lazily, in lexicographic order.
 
-    Recursive ordered extension with candidate-count pruning; each clique is
-    grown in increasing vertex order so every clique is produced exactly once.
+    Ordered extension with candidate-count pruning, on an explicit stack:
+    each clique is grown in increasing vertex order, so every clique is
+    produced exactly once, and a caller may stop after the first few.
     """
     if not 1 <= size <= inst.n:
         raise ValueError(f"clique size must be in 1..{inst.n}")
-    out: list[Clique] = []
     adj = inst.adj_bits
-
-    def extend(members: list[int], cand: int) -> None:
-        if len(members) == size:
-            out.append(Clique(tuple(members)))
-            return
+    members: list[int] = []
+    # stack[d]: candidates not yet tried at depth d, all above members[-1]
+    stack = [(1 << inst.n) - 1]
+    while stack:
+        cand = stack[-1]
         need = size - len(members)
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            if (cand >> v).bit_count() < need:
-                break
+        if cand.bit_count() < need:
+            stack.pop()
+            if members:
+                members.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        stack[-1] = cand
+        if need == 1:
+            yield Clique((*members, v))
+        else:
             members.append(v)
-            extend(members, (cand >> (v + 1) << (v + 1)) & adj[v])
-            members.pop()
+            stack.append(cand & adj[v])
 
-    extend([], (1 << inst.n) - 1)
-    return out
+
+def enumerate_cliques(inst: Instance, size: int) -> list[Clique]:
+    """All cliques of exactly the given cardinality, in lexicographic order."""
+    return list(iter_cliques(inst, size))
 
 
 def extendable_k_cliques(inst: Instance) -> list[Clique]:

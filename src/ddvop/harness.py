@@ -24,7 +24,7 @@ from .dfs_solver import solve
 from .graph import Instance
 from .naive_decomp import solve_naive
 from .oracle import DEFAULT_CAP, brute_optimum
-from .solution import OBJECTIVES, STATS_COLUMNS, Solution, SolveOptions, SolveStats
+from .solution import OBJECTIVES, STATS_COLUMNS, Solution, SolveStats
 from .witness_decomp import solve_witness
 
 METHODS = ("oracle", "dfs", "naive", "witness")
@@ -106,9 +106,7 @@ def solve_with_method(
     method: str,
     objective: str = "min-double",
     time_limit: Optional[float] = None,
-    use_presolve: bool = True,
     nogood: bool = False,
-    pre_break: str = "none",
     oracle_cap: int = DEFAULT_CAP,
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
@@ -122,12 +120,11 @@ def solve_with_method(
         if res is None:
             return Solution("INFEASIBLE", None, None, None, stats)
         return Solution("OPTIMAL", res.value, res.order, res.report.doubles, stats)
-    opts = SolveOptions(time_limit, use_presolve)
     if method == "dfs":
-        return solve(inst, objective, opts)
+        return solve(inst, objective, time_limit)
     if method == "naive":
-        return solve_naive(inst, opts, nogood)
-    return solve_witness(inst, opts, pre_break)
+        return solve_naive(inst, time_limit, nogood)
+    return solve_witness(inst, time_limit)
 
 
 def _row_from_solution(inst: Instance, method: str, sol: Solution) -> BenchRow:

@@ -110,8 +110,8 @@ def gen_synthetic_detailed(
         raise GenerationError(
             f"need 1 <= num_doubles <= n-K-1 = {n - K - 1}, got {num_doubles}"
         )
-    if noise < 0:
-        raise GenerationError(f"noise must be nonnegative, got {noise}")
+    if not 0 <= noise < math.inf:  # also refuses nan
+        raise GenerationError(f"noise must be finite and nonnegative, got {noise}")
     rng = Rng(seed)
     marks = [0] * n
     marks[K] = 1

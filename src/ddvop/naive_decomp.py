@@ -9,6 +9,9 @@ filter extracts a minimal set of strict ranks that cannot all stay
 double-free, and the resulting cover cut is returned to the master.
 The plain exclude-this-pattern cut is kept only as a test fallback
 (nogood=True); it removes a single pattern per round and is far weaker.
+Naive reads no presolve: the master starts from the base fixings alone,
+and the IIS cuts find the head covers a presolve would have given it
+within an iteration or two.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from typing import Sequence
 
 from .graph import Instance
 from .order import DoublePattern, VertexOrder, check_order, greedy_dvop
-from .presolve import PresolveResult, full_presolve
-from .solution import Deadline, Solution, SolveOptions, SolveStats
+from .solution import Deadline, Solution, SolveStats
 
 
 @dataclass(frozen=True)
@@ -47,49 +49,30 @@ class NoGoodCut:
         return tuple(bits) != self.bits
 
 
-def base_only_fixings(n: int, K: int) -> PresolveResult:
-    """Just the definitional fixings, for runs with presolve disabled."""
-    return PresolveResult(
-        n=n,
-        K=K,
-        fixed_zero=frozenset(range(K)),
-        fixed_one=frozenset({K}),
-        cover_inequalities=(),
-    )
-
-
 def mp1_solve(
     n: int,
     K: int,
-    fixings: PresolveResult,
     cuts: Sequence[BendersCut | NoGoodCut],
     deadline: Deadline = Deadline(None),
 ) -> DoublePattern | None:
-    """Minimum-cardinality pattern honoring fixings and cuts.
+    """Minimum-cardinality pattern honoring the base fixings and the cuts.
 
-    Iterative deepening over the number of free doubles, scanning ranks
-    in ascending order and trying 0 before 1, returns the
-    lexicographically smallest optimum.  Absent when the fixings
-    contradict each other or some cover can never be satisfied.
+    Ranks below K are never doubles and rank K always is one; ranks
+    K+1..n-1 are free.  Iterative deepening over the number of free
+    doubles, scanning ranks in ascending order and trying 0 before 1,
+    returns the lexicographically smallest optimum.  Absent when no
+    pattern satisfies every cut.
     """
-    if fixings.infeasible or fixings.fixed_zero & fixings.fixed_one:
-        return None
     bits = [0] * n
-    for r in fixings.fixed_one:
-        bits[r] = 1
-    covers = [frozenset(c) for c in fixings.cover_inequalities]
-    covers += [c.ranks for c in cuts if isinstance(c, BendersCut)]
+    bits[K] = 1
+    covers = [c.ranks for c in cuts if isinstance(c, BendersCut)]
     nogoods = [c for c in cuts if isinstance(c, NoGoodCut)]
-    free = [
-        r
-        for r in range(K + 1, n)
-        if r not in fixings.fixed_zero and r not in fixings.fixed_one
-    ]
-    if any(not (c & set(free)) and not any(bits[r] for r in c) for c in covers):
-        return None
+    free = range(K + 1, n)
+    if any(max(c) < K for c in covers):
+        return None  # every rank of the cover is fixed to 0
     covers_by_last = {}
     for c in covers:
-        covers_by_last.setdefault(max(c & set(free), default=max(c)), []).append(c)
+        covers_by_last.setdefault(max(c), []).append(c)
 
     def dfs(idx: int, remaining: int) -> tuple[int, ...] | None:
         if deadline.expired():
@@ -189,9 +172,10 @@ def find_iis(
     order, tentatively relaxing each to the double threshold; ranks whose
     relaxation leaves the subproblem infeasible are discarded.  Every
     survivor is necessary, so at least one of them must be a double in
-    any feasible pattern.  An empty survivor set means even the
-    all-double pattern is infeasible, i.e. the instance has no valid
-    order at all; then no cut exists and None is returned.
+    any feasible pattern.  The all-double pattern is tested first: when
+    even it is infeasible the instance has no valid order at all, no cut
+    exists, and None is returned after that one test rather than one per
+    strict rank.
     """
     n, K = inst.n, inst.K
     bits = pattern.bits
@@ -208,11 +192,11 @@ def find_iis(
     survivors = set(strict0)
     if feasible(survivors):
         raise ValueError("pattern is feasible; no infeasible subsystem exists")
+    if not feasible(set()):
+        return None
     for r in strict0:
         if not feasible(survivors - {r}):
             survivors.discard(r)
-    if not survivors:
-        return None
     return BendersCut(frozenset(survivors))
 
 
@@ -227,26 +211,18 @@ class NaiveTrace:
 
 def solve_naive(
     inst: Instance,
-    opts: SolveOptions | None = None,
+    time_limit: float | None = None,
     nogood: bool = False,
     trace: NaiveTrace | None = None,
 ) -> Solution:
     """Master-subproblem loop for the minimum-double objective."""
-    opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
-    deadline = Deadline(opts.time_limit)
+    deadline = Deadline(time_limit)
     try:
-        if opts.use_presolve:
-            fixings = full_presolve(inst)
-        else:
-            fixings = base_only_fixings(inst.n, inst.K)
-        if fixings.infeasible:
-            return Solution("INFEASIBLE", None, None, None, stats)
-
         cuts: list[BendersCut | NoGoodCut] = []
         while True:
-            pattern = mp1_solve(inst.n, inst.K, fixings, cuts, deadline)
+            pattern = mp1_solve(inst.n, inst.K, cuts, deadline)
             stats.iterations += 1
             if pattern is None:
                 return Solution("INFEASIBLE", None, None, None, stats)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graph import Clique, Instance, enumerate_cliques, min_degree
+from .graph import Clique, Instance, enumerate_cliques, iter_cliques, min_degree
 
 DEFAULT_CLIQUE_BUDGET = 100_000
 
@@ -137,7 +137,10 @@ def head_analysis(
     emitted, so one global conclusion is drawn per branch.
     """
     K, n = inst.K, inst.n
-    init_cliques = enumerate_cliques(inst, K + 1)
+    # One clique past the budget is enough to know it is exceeded.
+    init_cliques = list(
+        itertools.islice(iter_cliques(inst, K + 1), max(clique_budget, 0) + 1)
+    )
     if not init_cliques:
         return HeadAnalysis(frozenset(), (), infeasible=True)
     if len(init_cliques) > clique_budget:

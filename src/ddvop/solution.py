@@ -1,9 +1,9 @@
 """Result types and run controls shared by every solver route.
 
-Each route takes SolveOptions, counts its work in one SolveStats, and
-returns a Solution.  A search polls its Deadline once per node and raises
-TimeoutError when it has expired; the route catches it and reports
-TIMEOUT with whatever incumbent it holds.  With no time limit the
+Each route takes a time limit and nothing else to tune, counts its work
+in one SolveStats, and returns a Solution.  A search polls its Deadline
+once per node and raises TimeoutError when it has expired; the route
+catches it and reports TIMEOUT with whatever incumbent it holds.  With no time limit the
 deadline never expires, so a search never has to test for its absence.
 """
 
@@ -55,12 +55,6 @@ class SolveStats:
 
 
 STATS_COLUMNS = tuple(f.name for f in fields(SolveStats))
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    time_limit: float | None = None
-    use_presolve: bool = True  # read by naive only; dfs and witness need none
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ are mutual by design.  Looping master, subproblem, and cuts converges
 to an optimal order; the extended validator checks an accepted
 (clique, witnesses, doubles, order) against the full one-shot
 constraint set.  Witness reads no presolve: one greedy pass decides
-feasibility and gives the master its cutoff and its ranked roots.
+feasibility and gives the master its cutoff and its ranked roots.  The
+cut pool is seeded with the cut of every 2-cycle (two neighbors witness
+each other only inside the clique): the valid inequalities that
+strengthen the master from its first solve.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .graph import Clique, Instance, enumerate_cliques
+from .graph import Clique, Instance
 from .order import VertexOrder, check_order, greedy_roots
-from .solution import Deadline, Solution, SolveOptions, SolveStats
-
-PRE_BREAK = ("none", "2cycles", "2and3cycles")
+from .solution import Deadline, Solution, SolveStats
 
 Arc = tuple[int, int]
 
@@ -328,21 +329,9 @@ def mp2_solve(
     return best
 
 
-def _seed_cuts(inst: Instance, pre_break: str) -> list[CycleCut]:
-    """Cycle cuts known before any separation: 2-cycles, optionally 3-cycles."""
-    if pre_break == "none":
-        return []
-    if pre_break not in PRE_BREAK:
-        raise ValueError(f"pre_break must be one of {PRE_BREAK}")
-    cuts = [
-        make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()
-    ]
-    if pre_break == "2and3cycles":
-        for tri in enumerate_cliques(inst, 3):
-            a, b, c = tri.members
-            cuts.append(make_cycle_cut(((a, b), (b, c), (c, a)), inst.K))
-            cuts.append(make_cycle_cut(((a, c), (c, b), (b, a)), inst.K))
-    return cuts
+def _seed_cuts(inst: Instance) -> list[CycleCut]:
+    """The cut of every 2-cycle, seeded before the first master solve."""
+    return [make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()]
 
 
 @dataclass
@@ -355,22 +344,20 @@ class WitnessTrace:
 
 def solve_witness(
     inst: Instance,
-    opts: SolveOptions | None = None,
-    pre_break: str = "none",
+    time_limit: float | None = None,
     trace: WitnessTrace | None = None,
 ) -> Solution:
     """Master-subproblem loop with lifted cycle-breaking cuts.
 
-    pre_break seeds the cut pool with the cuts of every 2-cycle (and
-    3-cycle) before the first master solve; see PRE_BREAK.  The greedy
+    The cut pool starts with the cut of every 2-cycle; stats.cuts and
+    trace.cuts count only the cuts separated after that.  The greedy
     warm start decides feasibility, so an infeasible instance returns
     INFEASIBLE with no master solve; its double count is the master's
-    cutoff.  Only opts.time_limit is read: no presolve runs.
+    cutoff.  No presolve runs.
     """
-    opts = opts or SolveOptions()
     stats = SolveStats()
     t0 = time.monotonic()
-    deadline = Deadline(opts.time_limit)
+    deadline = Deadline(time_limit)
     try:
         # One greedy pass gives the warm start and the order of the roots.
         # Greedy completes some root exactly when a valid order exists.
@@ -379,7 +366,7 @@ def solve_witness(
             return Solution("INFEASIBLE", None, None, None, stats)
         cutoff = warm[1].double_count
 
-        cuts = _seed_cuts(inst, pre_break)
+        cuts = _seed_cuts(inst)
         while True:
             state = mp2_solve(inst, roots, cuts, cutoff, stats, deadline)
             stats.iterations += 1

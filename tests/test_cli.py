@@ -54,16 +54,18 @@ def test_solve_min_nodes(g6a_file, capsys):
 
 
 def test_solve_flags(g6a_file, capsys):
-    argv = [
-        "solve", g6a_file, "--method", "witness",
-        "--pre-break", "23", "--no-presolve",
-    ]
+    argv = ["solve", g6a_file, "--method", "witness", "--time-limit", "30"]
     assert main(argv) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "s OPTIMAL 2 12"
     assert main(["solve", g6a_file, "--method", "naive", "--nogood"]) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "s OPTIMAL 2 12"
+    # Solvers take no tuning flags beyond --time-limit and naive's --nogood.
+    for flag in ("--no-presolve", "--pre-break"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", g6a_file, flag])
+        assert exc.value.code == 2
 
 
 def test_solve_output_file(g6a_file, tmp_path, capsys):
@@ -261,6 +263,8 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["bench", "{g6a}", "--time-limit", "nan"],
         ["gen", "random", "--n", "501", "--density", "0.5", "--k", "2"],
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "501"],
+        ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "inf"],
+        ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, capsys):

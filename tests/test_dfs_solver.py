@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, path_edges, small_instances
-from ddvop.dfs_solver import SolveOptions, solve
+from ddvop.dfs_solver import solve
 from ddvop.graph import Instance
+from ddvop.harness import solve_with_method
 from ddvop.instgen import GenerationError, gen_synthetic_detailed
 from ddvop.modelgen import FORMULATIONS, validate_formulation
 from ddvop.naive_decomp import solve_naive
@@ -28,16 +29,20 @@ EXPECT = {
 }
 
 
-# use_presolve stays a parameter of the two tests below: dfs reads no
-# presolve, so its answers must not depend on the option.
+def solve_via(front_door, inst, objective):
+    """dfs directly, or through harness.solve_with_method."""
+    if front_door:
+        return solve_with_method(inst, "dfs", objective)
+    return solve(inst, objective)
+
+
 @pytest.mark.parametrize("fixture", sorted(EXPECT))
-@pytest.mark.parametrize("use_presolve", [True, False])
-def test_frozen_optima(fixture, use_presolve, request):
+@pytest.mark.parametrize("front_door", [True, False])
+def test_frozen_optima(fixture, front_door, request):
     inst = request.getfixturevalue(fixture)
     doubles, nodes = EXPECT[fixture]
-    opts = SolveOptions(use_presolve=use_presolve)
-    sd = solve(inst, "min-double", opts)
-    sn = solve(inst, "min-nodes", opts)
+    sd = solve_via(front_door, inst, "min-double")
+    sn = solve_via(front_door, inst, "min-nodes")
     assert sd.status == "OPTIMAL" and sd.objective == doubles
     assert sn.status == "OPTIMAL" and sn.objective == nodes
     for sol in (sd, sn):
@@ -47,16 +52,16 @@ def test_frozen_optima(fixture, use_presolve, request):
 
 
 @pytest.mark.parametrize("fixture", ["g6a_k3", "p5_k2"])
-@pytest.mark.parametrize("use_presolve", [True, False])
-def test_infeasible(fixture, use_presolve, request):
+@pytest.mark.parametrize("front_door", [True, False])
+def test_infeasible(fixture, front_door, request):
     inst = request.getfixturevalue(fixture)
-    sol = solve(inst, "min-double", SolveOptions(use_presolve=use_presolve))
+    sol = solve_via(front_door, inst, "min-double")
     assert sol.status == "INFEASIBLE"
     assert sol.objective is None and sol.order is None
 
 
 def test_timeout(g6a):
-    sol = solve(g6a, "min-double", SolveOptions(time_limit=0.0))
+    sol = solve(g6a, "min-double", time_limit=0.0)
     assert sol.status == "TIMEOUT"
     assert_timeout_incumbent(g6a, sol)
     # No root finished, and no greedy pass stands in for one.
@@ -69,24 +74,24 @@ def test_timeout_keeps_time_limit():
     # keeps that root's order, with no greedy pass after it.
     inst = Instance.build(400, 1, path_edges(400))
     t0 = time.monotonic()
-    sol = solve(inst, "min-double", SolveOptions(time_limit=0.5))
+    sol = solve(inst, "min-double", time_limit=0.5)
     assert time.monotonic() - t0 < 1.5
     assert_timeout_incumbent(inst, sol)
     assert sol.objective == 399
 
 
 @pytest.mark.parametrize(
-    "fixture,opts,status,searched",
+    "fixture,time_limit,status,searched",
     [
-        ("g6a", SolveOptions(), "OPTIMAL", True),
-        ("p5_k2", SolveOptions(), "INFEASIBLE", False),
-        ("g6a_k3", SolveOptions(), "INFEASIBLE", True),
-        ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", False),
+        ("g6a", None, "OPTIMAL", True),
+        ("p5_k2", None, "INFEASIBLE", False),
+        ("g6a_k3", None, "INFEASIBLE", True),
+        ("g6a", 0.0, "TIMEOUT", False),
     ],
     ids=["optimal", "no-clique", "search-infeasible", "timeout"],
 )
-def test_time_recorded_on_every_exit(fixture, opts, status, searched, request):
-    sol = solve(request.getfixturevalue(fixture), "min-double", opts)
+def test_time_recorded_on_every_exit(fixture, time_limit, status, searched, request):
+    sol = solve(request.getfixturevalue(fixture), "min-double", time_limit)
     assert sol.status == status
     assert (sol.stats.choice_points > 0) == searched
     assert sol.stats.time_ms > 0
@@ -151,13 +156,13 @@ def test_agrees_above_oracle_cap(n, K):
     inst, marks, _, _ = planted(n, K)
     identity = check_order(inst, VertexOrder(tuple(range(n))))
     assert identity.is_dvop
-    sd = solve(inst, "min-double", SolveOptions(time_limit=10.0))
-    sn = solve(inst, "min-nodes", SolveOptions(time_limit=10.0))
+    sd = solve(inst, "min-double", time_limit=10.0)
+    sn = solve(inst, "min-nodes", time_limit=10.0)
     assert sd.status == sn.status == "OPTIMAL"
     assert check_order(inst, sd.order).double_count == sd.objective <= sum(marks)
     assert check_order(inst, sn.order).total_nodes == sn.objective <= identity.total_nodes
     for route in (solve_naive, solve_witness):
-        sol = route(inst, SolveOptions(time_limit=0.5))
+        sol = route(inst, time_limit=0.5)
         if sol.status == "OPTIMAL":
             assert sol.objective == sd.objective, route.__name__
         else:

@@ -1,6 +1,7 @@
 """Instance parsing, validation, and clique enumeration."""
 
 import itertools
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -63,6 +64,18 @@ def test_parse_comments_and_name():
 def test_parse_errors(text, err):
     with pytest.raises(err):
         parse_instance(text)
+
+
+def test_tiny_header_with_huge_n_rejected():
+    # A connected graph needs n - 1 edges; the header's edge count says
+    # there are none, so nothing sized by n may be built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="^line 1: 0 edges"):
+            parse_instance("p dvop 100000000 0 1\n")
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_render_round_trip(g6a):

@@ -1,16 +1,15 @@
 """Pattern-first decomposition: master, subproblem, minimal infeasible cuts."""
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, small_instances
-from ddvop.dfs_solver import SolveOptions
+from ddvop import naive_decomp
+from ddvop.harness import solve_with_method
 from ddvop.naive_decomp import (
     BendersCut,
     NaiveTrace,
     NoGoodCut,
-    base_only_fixings,
     find_iis,
     mp1_solve,
     solve_naive,
@@ -18,7 +17,6 @@ from ddvop.naive_decomp import (
 )
 from ddvop.oracle import brute_optimum
 from ddvop.order import DoublePattern, check_order
-from ddvop.presolve import PresolveResult, full_presolve
 
 
 def test_cut_satisfaction():
@@ -31,25 +29,12 @@ def test_cut_satisfaction():
 
 
 def test_mp1_base_only():
-    base = base_only_fixings(6, 2)
-    assert mp1_solve(6, 2, base, []).bits == (0, 0, 1, 0, 0, 0)
+    assert mp1_solve(6, 2, []).bits == (0, 0, 1, 0, 0, 0)
     cuts = [BendersCut(frozenset({3})), BendersCut(frozenset({4, 5}))]
-    assert mp1_solve(6, 2, base, cuts).bits == (0, 0, 1, 1, 0, 1)
-
-
-def test_mp1_with_tail_fixings():
-    tailed = PresolveResult(
-        n=6,
-        K=2,
-        fixed_zero=frozenset({0, 1, 5}),
-        fixed_one=frozenset({2}),
-        cover_inequalities=(),
-    )
-    assert mp1_solve(6, 2, tailed, [BendersCut(frozenset({4}))]).bits == (
-        0, 0, 1, 0, 1, 0,
-    )
-    # A cover whose every member is fixed to zero is unsatisfiable.
-    assert mp1_solve(6, 2, tailed, [BendersCut(frozenset({5}))]) is None
+    assert mp1_solve(6, 2, cuts).bits == (0, 0, 1, 1, 0, 1)
+    # A cover below rank K is unsatisfiable; one holding rank K always holds.
+    assert mp1_solve(6, 2, [BendersCut(frozenset({0, 1}))]) is None
+    assert mp1_solve(6, 2, [BendersCut(frozenset({1, 2}))]).bits == (0, 0, 1, 0, 0, 0)
 
 
 def test_sp1_g6a(g6a):
@@ -84,8 +69,15 @@ def test_find_iis_rejects_realizable(g6a):
         find_iis(g6a, DoublePattern((0, 0, 1, 1, 0, 1)))
 
 
-def test_find_iis_hopeless_instance(p5_k2):
+def test_find_iis_hopeless_instance(p5_k2, monkeypatch):
+    # Two subproblems: the pattern itself, then the all-double pattern,
+    # not one more per strict rank.
+    calls = []
+    monkeypatch.setattr(
+        naive_decomp, "sp1_solve", lambda *a: calls.append(a) or sp1_solve(*a)
+    )
     assert find_iis(p5_k2, DoublePattern((0, 0, 1, 0, 0))) is None
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -98,11 +90,15 @@ def test_find_iis_hopeless_instance(p5_k2):
         ("p5_k2", None),
     ],
 )
-@pytest.mark.parametrize("use_presolve", [True, False])
+@pytest.mark.parametrize("front_door", [True, False])
 @pytest.mark.parametrize("nogood", [False, True])
-def test_frozen_instances(fixture, want, use_presolve, nogood, request):
+def test_frozen_instances(fixture, want, front_door, nogood, request):
+    # The same answers directly and through harness.solve_with_method.
     inst = request.getfixturevalue(fixture)
-    sol = solve_naive(inst, SolveOptions(use_presolve=use_presolve), nogood=nogood)
+    if front_door:
+        sol = solve_with_method(inst, "naive", nogood=nogood)
+    else:
+        sol = solve_naive(inst, nogood=nogood)
     if want is None:
         assert sol.status == "INFEASIBLE"
     else:
@@ -113,27 +109,28 @@ def test_frozen_instances(fixture, want, use_presolve, nogood, request):
 
 def test_timeout(g6a):
     # The greedy warm start is the incumbent, as in witness.
-    sol = solve_naive(g6a, SolveOptions(time_limit=0.0))
+    sol = solve_naive(g6a, time_limit=0.0)
     assert sol.status == "TIMEOUT"
     assert sol.objective == 2 and sol.order is not None
     assert_timeout_incumbent(g6a, sol)
 
 
 @pytest.mark.parametrize(
-    "fixture,opts,nogood,status,iterations",
+    "fixture,time_limit,nogood,status,iterations",
     [
-        ("g6a", SolveOptions(), False, "OPTIMAL", None),
-        ("p5_k2", SolveOptions(), False, "INFEASIBLE", 0),
+        ("g6a", None, False, "OPTIMAL", None),
         # The deletion filter finds no cut: not even all doubles is feasible.
-        ("p5_k2", SolveOptions(use_presolve=False), False, "INFEASIBLE", 1),
+        ("p5_k2", None, False, "INFEASIBLE", 1),
         # No-good cuts exhaust the patterns until the master comes back empty.
-        ("p5_k2", SolveOptions(use_presolve=False), True, "INFEASIBLE", 5),
-        ("g6a", SolveOptions(time_limit=0.0), False, "TIMEOUT", None),
+        ("p5_k2", None, True, "INFEASIBLE", 5),
+        ("g6a", 0.0, False, "TIMEOUT", None),
     ],
-    ids=["optimal", "presolve-infeasible", "iis-infeasible", "master-infeasible", "timeout"],
+    ids=["optimal", "iis-infeasible", "master-infeasible", "timeout"],
 )
-def test_time_recorded_on_every_exit(fixture, opts, nogood, status, iterations, request):
-    sol = solve_naive(request.getfixturevalue(fixture), opts, nogood)
+def test_time_recorded_on_every_exit(
+    fixture, time_limit, nogood, status, iterations, request
+):
+    sol = solve_naive(request.getfixturevalue(fixture), time_limit, nogood)
     assert sol.status == status
     if iterations is not None:
         assert sol.stats.iterations == iterations
@@ -150,10 +147,10 @@ def test_trace_records_cuts(g6a):
 
 
 @settings(deadline=None)
-@given(small_instances(), st.booleans())
-def test_agrees_with_oracle(inst, use_presolve):
+@given(small_instances())
+def test_agrees_with_oracle(inst):
     ref = brute_optimum(inst, "min-double")
-    sol = solve_naive(inst, SolveOptions(use_presolve=use_presolve))
+    sol = solve_naive(inst)
     if ref is None:
         assert sol.status == "INFEASIBLE"
     else:
@@ -170,15 +167,14 @@ def test_cut_loop_soundness(inst):
     if ref is None:
         return
     opt_bits = check_order(inst, ref.order).doubles.bits
-    fixings = full_presolve(inst)
     cuts = []
-    pattern = mp1_solve(inst.n, inst.K, fixings, cuts)
+    pattern = mp1_solve(inst.n, inst.K, cuts)
     while pattern is not None and sp1_solve(inst, pattern) is None:
         cut = find_iis(inst, pattern)
         assert cut is not None
         assert not cut.satisfied_by(pattern.bits)
         assert cut.satisfied_by(opt_bits)
         cuts.append(cut)
-        pattern = mp1_solve(inst.n, inst.K, fixings, cuts)
+        pattern = mp1_solve(inst.n, inst.K, cuts)
     assert pattern is not None
     assert pattern.count() == ref.value

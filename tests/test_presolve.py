@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import small_instances
+from ddvop import graph
+from ddvop.instgen import gen_random
 from ddvop.oracle import enumerate_valid_orders
 from ddvop.order import check_order
 from ddvop.presolve import (
@@ -85,6 +87,21 @@ def test_clique_budget_skips(g6a):
     assert r.skipped
     assert r.fixed_one == frozenset({2})
     assert "head analysis skipped (clique budget)" in r.as_lines()
+
+
+def test_clique_budget_bounds_enumeration(monkeypatch):
+    # This graph has 243765 4-cliques; one past the budget proves it spent.
+    inst = gen_random(60, 0.9, 3, 1)
+    built = []
+
+    class CountedClique(graph.Clique):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(graph, "Clique", CountedClique)
+    assert head_analysis(inst, clique_budget=10).skipped
+    assert len(built) <= 11
 
 
 def test_as_lines(g6a, p5_k2):

@@ -3,17 +3,17 @@
 import itertools
 import sys
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import order as order_module
+from ddvop import witness_decomp
 from ddvop.graph import Instance, enumerate_cliques
-from ddvop.instgen import gen_random
+from ddvop.instgen import gen_random, gen_synthetic
+from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import VertexOrder, check_order, greedy_roots
-from ddvop.solution import SolveOptions
 from ddvop.witness_decomp import (
     WitnessState,
     WitnessTrace,
@@ -122,24 +122,35 @@ FROZEN = [
 ]
 
 
+def three_cycle_cuts(inst):
+    """The cuts of both directions of every triangle."""
+    cuts = []
+    for a, b, c in enumerate_cliques(inst, 3):
+        cuts.append(make_cycle_cut(((a, b), (b, c), (c, a)), inst.K))
+        cuts.append(make_cycle_cut(((a, c), (c, b), (b, a)), inst.K))
+    return cuts
+
+
 @pytest.mark.parametrize("fixture,status,objective", FROZEN)
-@pytest.mark.parametrize("pre_break", ["none", "2cycles", "2and3cycles"])
-def test_frozen_objectives(fixture, status, objective, pre_break, request):
+@pytest.mark.parametrize("seeds", ["none", "2cycles", "2and3cycles"])
+def test_frozen_objectives(fixture, status, objective, seeds, request, monkeypatch):
+    # solve_witness seeds the 2-cycle cuts.  Every seed pool holds valid
+    # cuts only, so the frozen answers must not depend on which one the
+    # loop starts from.
+    two = witness_decomp._seed_cuts
+    pools = {
+        "none": lambda i: [],
+        "2cycles": two,
+        "2and3cycles": lambda i: two(i) + three_cycle_cuts(i),
+    }
+    monkeypatch.setattr(witness_decomp, "_seed_cuts", pools[seeds])
     inst = request.getfixturevalue(fixture)
-    sol = solve_witness(inst, pre_break=pre_break)
+    sol = solve_witness(inst)
     assert sol.status == status
     assert sol.objective == objective
     if status == "OPTIMAL":
         report = check_order(inst, sol.order)
         assert report.is_dvop and report.double_count == objective
-
-
-# witness reads no presolve, so its answer must not depend on the option.
-@pytest.mark.parametrize("use_presolve", [True, False])
-def test_option_grid_g6a(g6a, use_presolve):
-    opts = SolveOptions(use_presolve=use_presolve)
-    sol = solve_witness(g6a, opts)
-    assert sol.status == "OPTIMAL" and sol.objective == 2
 
 
 @pytest.mark.parametrize(
@@ -190,43 +201,62 @@ def test_manual_loop_cut_soundness(fixture, request):
         pytest.fail("loop did not converge in 200 cuts")
 
 
-def test_trace_hooks(g6a):
+@pytest.fixture
+def separating():
+    """An instance whose loop separates cycle cuts past the 2-cycle seeds:
+    three master iterations, two cuts, 24 root cliques."""
+    return gen_synthetic(3, 2, 0.1, 9, 11)
+
+
+def test_trace_hooks(separating):
     trace = WitnessTrace()
-    sol = solve_witness(g6a, trace=trace)
-    assert sol.status == "OPTIMAL"
+    sol = solve_witness(separating, trace=trace)
+    assert sol.status == "OPTIMAL" and sol.objective == 2
+    assert sol.stats.iterations == 3 and sol.stats.cuts == 2
+    assert len(trace.cuts) == sol.stats.cuts
     assert len(trace.accepted) == 1
     state, order = trace.accepted[0]
-    assert ef_validate(g6a, state, order)
+    assert ef_validate(separating, state, order)
     for cut, cut_state in trace.cuts:
         assert not cut.satisfied_by(cut_state)
 
 
-def test_greedy_once_per_root(g6a, monkeypatch):
+def test_greedy_once_per_root(separating, monkeypatch):
     # One greedy completion per root clique and solve, not per master
-    # iteration: g6a takes five (four cycle cuts).
+    # iteration: three iterations, 24 roots, 24 greedy calls.
     calls, greedy = [], order_module.greedy_from_clique
     for name, module in list(sys.modules.items()):
         if name.startswith("ddvop") and getattr(module, "greedy_from_clique", None) is greedy:
             monkeypatch.setattr(
                 module, "greedy_from_clique", lambda i, c: calls.append(c) or greedy(i, c)
             )
-    assert solve_witness(g6a).stats.iterations == 5
-    assert sorted(calls, key=lambda c: c.members) == enumerate_cliques(g6a, 3)
+    roots = enumerate_cliques(separating, 4)
+    assert len(roots) == 24
+    assert solve_witness(separating).stats.iterations == 3
+    assert sorted(calls, key=lambda c: c.members) == roots
 
 
-@pytest.mark.parametrize("fixture", ["g6a", "g6b", "wheel6", "p5_k2", "g6a_k3"])
-def test_reads_no_presolve(fixture, request, monkeypatch):
-    # Greedy decides feasibility and the master needs no head bound, so
-    # witness returns its frozen answer with presolve unreachable.
+@pytest.mark.parametrize(
+    "route,fixture",
+    [
+        pytest.param(route, f, id=f if route is solve_witness else f"naive-{f}")
+        for route in (solve_witness, solve_naive)
+        for f in ("g6a", "g6b", "wheel6", "p5_k2", "g6a_k3")
+    ],
+)
+def test_reads_no_presolve(route, fixture, request, monkeypatch):
+    # Greedy decides witness's feasibility, and IIS cuts give naive's master
+    # what presolve would, so both return their frozen answer with presolve
+    # unreachable.
     def refuse(*args, **kwargs):
-        raise AssertionError("witness called presolve")
+        raise AssertionError(f"{route.__name__} called presolve")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ddvop"):
             for attr in ("full_presolve", "head_analysis"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
-    sol = solve_witness(request.getfixturevalue(fixture))
+    sol = route(request.getfixturevalue(fixture))
     want = {f: (status, objective) for f, status, objective in FROZEN}
     assert (sol.status, sol.objective) == want[fixture]
 
@@ -235,26 +265,26 @@ def test_greedy_decides_infeasibility():
     # Greedy completes no root clique, so no master solve runs; one master
     # solve needs more than the 0.6 s limit to prove the same.
     inst = gen_random(12, 0.4, 3, 116)
-    sol = solve_witness(inst, SolveOptions(time_limit=0.6))
+    sol = solve_witness(inst, time_limit=0.6)
     assert sol.status == "INFEASIBLE"
     assert sol.stats.iterations == 0
 
 
 def test_timeout():
     big = Instance.build(12, 3, list(itertools.combinations(range(12), 2)))
-    sol = solve_witness(big, SolveOptions(time_limit=1e-6))
+    sol = solve_witness(big, time_limit=1e-6)
     assert sol.status == "TIMEOUT"
     assert sol.objective == 1
     assert_timeout_incumbent(big, sol)
 
 
 @pytest.mark.parametrize(
-    "fixture,opts,status,iterations",
+    "fixture,time_limit,status,iterations",
     [
-        ("g6a", SolveOptions(), "OPTIMAL", None),
-        ("p5_k2", SolveOptions(), "INFEASIBLE", 0),
-        ("g6a_k3", SolveOptions(), "INFEASIBLE", 0),
-        ("g6a", SolveOptions(time_limit=0.0), "TIMEOUT", 0),
+        ("g6a", None, "OPTIMAL", None),
+        ("p5_k2", None, "INFEASIBLE", 0),
+        ("g6a_k3", None, "INFEASIBLE", 0),
+        ("g6a", 0.0, "TIMEOUT", 0),
     ],
     ids=[
         "optimal",
@@ -263,8 +293,8 @@ def test_timeout():
         "timeout",
     ],
 )
-def test_time_recorded_on_every_exit(fixture, opts, status, iterations, request):
-    sol = solve_witness(request.getfixturevalue(fixture), opts)
+def test_time_recorded_on_every_exit(fixture, time_limit, status, iterations, request):
+    sol = solve_witness(request.getfixturevalue(fixture), time_limit)
     assert sol.status == status
     if iterations is not None:
         assert sol.stats.iterations == iterations
@@ -272,10 +302,10 @@ def test_time_recorded_on_every_exit(fixture, opts, status, iterations, request)
 
 
 @settings(deadline=None, max_examples=40)
-@given(small_instances(max_n=7), st.sampled_from(["none", "2cycles", "2and3cycles"]))
-def test_agrees_with_oracle(inst, pre_break):
+@given(small_instances(max_n=7))
+def test_agrees_with_oracle(inst):
     ref = brute_optimum(inst, "min-double")
-    sol = solve_witness(inst, pre_break=pre_break)
+    sol = solve_witness(inst)
     if ref is None:
         assert sol.status == "INFEASIBLE"
     else:

@@ -5,6 +5,8 @@ instance file, gen creates instance files, export emits LP models, and
 bench/profile drive batch comparisons.  Each subcommand takes only the
 flags it reads: every one takes -o/--output, solve and bench take
 --time-limit, the two gen kinds take --seed, and bench takes --workers.
+solve refuses --nogood unless the method is naive, and --cap unless it
+is oracle.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--nogood", action="store_true",
         help="naive method: cut only the failing pattern instead of an IIS",
     )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="oracle enumeration size cap")
+    p.add_argument("--cap", type=int,
+                   help=f"oracle method: enumeration size cap (default {DEFAULT_CAP})")
     _add_time_limit(p)
 
     p = _command(sub, "pareto", "objective image and Pareto frontier")
@@ -144,6 +146,10 @@ def _solve_stats_csv(method: str, sol: Solution) -> str:
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
+    if ns.nogood and ns.method != "naive":
+        raise UsageError("--nogood applies to --method naive only")
+    if ns.cap is not None and ns.method != "oracle":
+        raise UsageError("--cap applies to --method oracle only")
     inst = _load_instance(ns.instance)
     sol = solve_with_method(
         inst,
@@ -151,7 +157,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         OBJECTIVE_MAP[ns.objective],
         time_limit=ns.time_limit,
         nogood=ns.nogood,
-        oracle_cap=ns.cap,
+        oracle_cap=DEFAULT_CAP if ns.cap is None else ns.cap,
     )
     if sol.order is not None:
         text = format_solution(sol.status, sol.order, check_order(inst, sol.order))

@@ -9,14 +9,19 @@ one double the clique itself always forces).  The subproblem orders the
 witness digraph topologically; a directed cycle among non-clique
 vertices refutes the assignment and yields a lifted cycle-breaking cut:
 the lift term allows cycles that fit inside the clique, where witnesses
-are mutual by design.  Looping master, subproblem, and cuts converges
-to an optimal order; the extended validator checks an accepted
-(clique, witnesses, doubles, order) against the full one-shot
-constraint set.  Witness reads no presolve: one greedy pass decides
-feasibility and gives the master its cutoff and its ranked roots.  The
-cut pool is seeded with the cut of every 2-cycle (two neighbors witness
-each other only inside the clique): the valid inequalities that
-strengthen the master from its first solve.
+are mutual by design.  Master and subproblem run as one
+branch-and-check search (Thorsteinsson, CP 2001): the subproblem checks
+every complete leaf of the master's tree, and a cut separated there
+joins the live pool without restarting the search.  Cutting the
+refuted leaves converges to an optimal order; the extended validator
+checks an accepted (clique, witnesses, doubles, order) against the full
+one-shot constraint set.  Witness reads no presolve: one greedy pass
+decides feasibility and gives the master its strict cutoff and its
+ranked roots.  The cut pool is seeded with the cut of every 2-cycle
+(two neighbors witness each other only inside the clique): the valid
+inequalities that strengthen the master from its first node, and the
+reason a vertex's users cannot be its witnesses in the forced-double
+bound.
 """
 
 from __future__ import annotations
@@ -223,7 +228,7 @@ def sp2_check(
 
 
 def _witness_choices(
-    inst: Instance, clique: set[int], v: int
+    inst: Instance, clique: frozenset[int], v: int
 ) -> list[tuple[frozenset[int], int]]:
     """Witness-set candidates for one vertex: non-double sets first."""
     forced = sorted(inst.neighbors[v] & clique)
@@ -238,108 +243,179 @@ def _witness_choices(
     return out
 
 
+@dataclass
+class WitnessTrace:
+    """Optional audit log of the master search.
+
+    cuts: every cut separated at a cyclic leaf, with that leaf's state.
+    accepted: the one (state, order) the solve returns as OPTIMAL.
+    """
+
+    cuts: list[tuple[CycleCut, WitnessState]] = field(default_factory=list)
+    accepted: list[tuple[WitnessState, VertexOrder]] = field(default_factory=list)
+
+
 def mp2_solve(
     inst: Instance,
     roots: Sequence[Clique],
-    cuts: Sequence[CycleCut],
+    cuts: list[CycleCut],
     cutoff: int,
     stats: Optional[SolveStats] = None,
     deadline: Deadline = Deadline(None),
-) -> Optional[WitnessState]:
-    """Best witness state below `cutoff` doubles, subject to the cut pool.
+    trace: Optional[WitnessTrace] = None,
+) -> Optional[tuple[WitnessState, VertexOrder]]:
+    """Best acyclic witness state below `cutoff` doubles, with its order.
 
-    Outer enumeration of the initial cliques `roots`, in the order given
-    (solve_witness ranks them with greedy_roots), inner DFS over
-    witness sets per non-clique vertex (most clique neighbors first;
-    non-double choices before double ones, each lexicographically).
-    Branches are pruned at `cutoff` doubles (strict, counting y only,
-    not the +1 constant; each state found lowers it) and on cuts whose
-    left side already exceeds the right.  Absent when every state is
-    pruned.
+    One branch-and-check search.  Outer enumeration of the initial
+    cliques `roots`, in the order given (solve_witness ranks them with
+    greedy_roots), inner DFS over witness sets per non-clique vertex
+    (most clique neighbors first; non-double choices before double ones,
+    each lexicographically).  `cutoff` counts y only, not the +1
+    constant, and is strict.  sp2_check orders every complete leaf: an
+    acyclic leaf becomes the incumbent and lowers the cutoff to its
+    count; a cyclic one appends its lifted cut to `cuts` (the live pool;
+    counted in stats.cuts and logged with its leaf in trace.cuts) and
+    the search goes on.
+
+    Branches are pruned on cuts whose left side exceeds the right, and
+    by the forced-double bound: an unassigned vertex w with exactly K
+    neighbors not already using w as a witness must be a double, and
+    one with fewer can take no witness set.  A neighbor that uses w
+    cannot also witness w, because the two arcs form a 2-cycle among
+    non-clique vertices, which the seeded 2-cycle cuts forbid and
+    sp2_check would refute.  The deadline is polled at every root and
+    every node.  Absent when every state is pruned.
     """
-    n = inst.n
-    best: Optional[WitnessState] = None
+    n, K = inst.n, inst.K
+    best: Optional[tuple[WitnessState, VertexOrder]] = None
     arcs_by_cut: dict[Arc, list[int]] = {}
-    for idx, c in enumerate(cuts):
-        for a in c.arcs:
-            arcs_by_cut.setdefault(a, []).append(idx)
+
+    def index(ci: int) -> None:
+        for a in cuts[ci].arcs:
+            arcs_by_cut.setdefault(a, []).append(ci)
+
+    for ci in range(len(cuts)):
+        index(ci)
 
     for cl in roots:
+        if deadline.expired():
+            raise TimeoutError
         if stats is not None:
             stats.cliques_considered += 1
-        members = set(cl.members)
+        members = frozenset(cl.members)
         clique_arcs = [
             (v, u) for v in cl.members for u in cl.members if u != v
         ]
-        cut_rhs = [c.rhs(frozenset(members)) for c in cuts]
+        rest = sorted(
+            (v for v in range(n) if v not in members),
+            key=lambda v: (-len(inst.neighbors[v] & members), v),
+        )
+        # free[w]: neighbors of w not using w as a witness; forced and
+        # dead count the unassigned vertices with free == K and < K.
+        free = [len(inst.neighbors[v]) for v in range(n)]
+        forced = sum(1 for v in rest if free[v] == K)
+        dead = sum(1 for v in rest if free[v] < K)
+        if dead or forced >= cutoff:
+            continue
+        cut_rhs = [c.rhs(members) for c in cuts]
         cut_lhs = [
             sum(1 for a in c.arcs if a[0] in members and a[1] in members)
             for c in cuts
         ]
         if any(l > r for l, r in zip(cut_lhs, cut_rhs)):
             continue
-        rest = sorted(
-            (v for v in range(n) if v not in members),
-            key=lambda v: (-len(inst.neighbors[v] & members), v),
-        )
+        # pos[u] > idx exactly when u is a non-clique vertex not yet
+        # assigned at depth idx.
+        pos = [-1] * n
+        for i, v in enumerate(rest):
+            pos[v] = i
         choices = {v: _witness_choices(inst, members, v) for v in rest}
         assigned: dict[int, tuple[frozenset[int], int]] = {}
 
-        def rec(idx: int, ycount: int) -> None:
+        def leaf(ycount: int) -> None:
             nonlocal best, cutoff
-            if deadline.expired():
-                raise TimeoutError
-            if ycount >= cutoff:
-                return
-            if idx == len(rest):
-                arcs = list(clique_arcs)
-                doubles = [0] * n
-                for v, (wset, y) in assigned.items():
-                    doubles[v] = y
-                    arcs.extend((v, u) for u in wset)
-                best = WitnessState(
-                    clique=frozenset(members),
-                    witness_arcs=frozenset(arcs),
-                    doubles=tuple(doubles),
-                )
+            arcs = list(clique_arcs)
+            doubles = [0] * n
+            for v, (wset, y) in assigned.items():
+                doubles[v] = y
+                arcs.extend((v, u) for u in wset)
+            state = WitnessState(
+                clique=members,
+                witness_arcs=frozenset(arcs),
+                doubles=tuple(doubles),
+            )
+            got = sp2_check(inst, state)
+            if isinstance(got, VertexOrder):
+                best = (state, got)
                 cutoff = ycount
                 return
+            cut = make_cycle_cut(got, K)
+            assert not cut.satisfied_by(state)
+            if stats is not None:
+                stats.cuts += 1
+            if trace is not None:
+                trace.cuts.append((cut, state))
+            cuts.append(cut)
+            index(len(cuts) - 1)
+            cut_rhs.append(cut.rhs(members))
+            cut_lhs.append(sum(1 for a in cut.arcs if a in state.witness_arcs))
+
+        def rec(idx: int, ycount: int) -> None:
+            nonlocal forced, dead
+            if deadline.expired():
+                raise TimeoutError
+            if ycount + forced >= cutoff:
+                return
+            if idx == len(rest):
+                leaf(ycount)
+                return
             v = rest[idx]
+            # v leaves the unassigned vertices while it takes a set.
+            own = free[v] == K
+            forced -= own
             for wset, y in choices[v]:
-                if ycount + y >= cutoff:
-                    continue
+                if ycount + y + forced >= cutoff:
+                    break
                 if stats is not None:
                     stats.choice_points += 1
-                touched: list[int] = []
-                dead = False
+                ok = True
                 for u in wset:
                     for ci in arcs_by_cut.get((v, u), ()):
                         cut_lhs[ci] += 1
-                        touched.append(ci)
                         if cut_lhs[ci] > cut_rhs[ci]:
-                            dead = True
-                if not dead:
+                            ok = False
+                    if pos[u] > idx:
+                        free[u] -= 1
+                        if free[u] == K:
+                            forced += 1
+                        elif free[u] == K - 1:
+                            forced -= 1
+                            dead += 1
+                if ok and not dead:
                     assigned[v] = (wset, y)
                     rec(idx + 1, ycount + y)
                     del assigned[v]
-                for ci in touched:
-                    cut_lhs[ci] -= 1
+                for u in wset:
+                    # Through the live index: a cut separated below this
+                    # assignment counted its arcs too.
+                    for ci in arcs_by_cut.get((v, u), ()):
+                        cut_lhs[ci] -= 1
+                    if pos[u] > idx:
+                        free[u] += 1
+                        if free[u] == K + 1:
+                            forced -= 1
+                        elif free[u] == K:
+                            forced += 1
+                            dead -= 1
+            forced += own
 
         rec(0, 0)
     return best
 
 
 def _seed_cuts(inst: Instance) -> list[CycleCut]:
-    """The cut of every 2-cycle, seeded before the first master solve."""
+    """The cut of every 2-cycle, seeded before the master search."""
     return [make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()]
-
-
-@dataclass
-class WitnessTrace:
-    """Optional audit log of the master-subproblem dialogue."""
-
-    cuts: list[tuple[CycleCut, WitnessState]] = field(default_factory=list)
-    accepted: list[tuple[WitnessState, VertexOrder]] = field(default_factory=list)
 
 
 def solve_witness(
@@ -347,13 +423,15 @@ def solve_witness(
     time_limit: float | None = None,
     trace: WitnessTrace | None = None,
 ) -> Solution:
-    """Master-subproblem loop with lifted cycle-breaking cuts.
+    """Greedy warm start, then one branch-and-check master search.
 
-    The cut pool starts with the cut of every 2-cycle; stats.cuts and
-    trace.cuts count only the cuts separated after that.  The greedy
-    warm start decides feasibility, so an infeasible instance returns
-    INFEASIBLE with no master solve; its double count is the master's
-    cutoff.  No presolve runs.
+    The greedy warm start decides feasibility, so an infeasible instance
+    returns INFEASIBLE with no master search (iterations 0).  Otherwise
+    mp2_solve looks for a state with fewer doubles than the greedy order,
+    starting from the cut of every 2-cycle; stats.cuts and trace.cuts
+    count only the cuts it separates.  When it finds none, the greedy
+    order is optimal and its induced state is the accepted one.  A
+    completed search sets iterations to 1.  No presolve runs.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -364,31 +442,22 @@ def solve_witness(
         warm, roots = greedy_roots(inst)
         if warm is None:
             return Solution("INFEASIBLE", None, None, None, stats)
-        cutoff = warm[1].double_count
-
-        cuts = _seed_cuts(inst)
-        while True:
-            state = mp2_solve(inst, roots, cuts, cutoff, stats, deadline)
-            stats.iterations += 1
-            # The master always finds a state below the greedy cutoff: the
-            # witness state the greedy order induces qualifies.
-            assert state is not None
-            got = sp2_check(inst, state)
-            if isinstance(got, VertexOrder):
-                report = check_order(inst, got)
-                assert report.is_dvop
-                objective = state.y_sum + 1
-                assert report.double_count == objective
-                assert ef_validate(inst, state, got)
-                if trace is not None:
-                    trace.accepted.append((state, got))
-                return Solution("OPTIMAL", objective, got, report.doubles, stats)
-            cut = make_cycle_cut(got, inst.K)
-            assert not cut.satisfied_by(state)
-            if trace is not None:
-                trace.cuts.append((cut, state))
-            cuts.append(cut)
-            stats.cuts += 1
+        found = mp2_solve(
+            inst, roots, _seed_cuts(inst), warm[1].double_count - 1,
+            stats, deadline, trace,
+        )
+        stats.iterations = 1
+        if found is None:
+            found = (induce_witness_state(inst, warm[0]), warm[0])
+        state, got = found
+        report = check_order(inst, got)
+        assert report.is_dvop
+        objective = state.y_sum + 1
+        assert report.double_count == objective
+        assert ef_validate(inst, state, got)
+        if trace is not None:
+            trace.accepted.append((state, got))
+        return Solution("OPTIMAL", objective, got, report.doubles, stats)
     except TimeoutError:
         return Solution(
             "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats

@@ -61,6 +61,9 @@ def test_solve_flags(g6a_file, capsys):
     assert main(["solve", g6a_file, "--method", "naive", "--nogood"]) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "s OPTIMAL 2 12"
+    assert main(["solve", g6a_file, "--method", "oracle", "--cap", "12"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines()[0] == "s OPTIMAL 2 12"
     # Solvers take no tuning flags beyond --time-limit and naive's --nogood.
     for flag in ("--no-presolve", "--pre-break"):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +268,12 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "501"],
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "inf"],
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "nan"],
+        ["solve", "{g6a}", "--method", "witness", "--nogood"],
+        ["solve", "{g6a}", "--method", "dfs", "--nogood"],
+        ["solve", "{g6a}", "--method", "oracle", "--nogood"],
+        ["solve", "{g6a}", "--method", "witness", "--cap", "3"],
+        ["solve", "{g6a}", "--method", "naive", "--cap", "12"],
+        ["solve", "{g6a}", "--cap", "12"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, capsys):

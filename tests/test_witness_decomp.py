@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from ddvop.graph import Instance, enumerate_cliques
 from ddvop.instgen import gen_random, gen_synthetic
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
-from ddvop.order import VertexOrder, check_order, greedy_roots
+from ddvop.order import VertexOrder, check_order, greedy_dvop, greedy_roots
 from ddvop.witness_decomp import (
     WitnessState,
     WitnessTrace,
@@ -169,8 +170,8 @@ def test_induced_states(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["g6a", "g6b", "wheel6"])
 def test_manual_loop_cut_soundness(fixture, request):
-    # Drive the master/subproblem loop by hand: separated cycles avoid
-    # the state's clique, each cut kills its own state, and no cut ever
+    # One master search from an empty pool and no cutoff: separated cycles
+    # avoid the leaf's clique, each cut kills its own leaf, and no cut ever
     # excludes a state induced by an optimal order.
     inst = request.getfixturevalue(fixture)
     ref = brute_optimum(inst, "min-double")
@@ -180,31 +181,38 @@ def test_manual_loop_cut_soundness(fixture, request):
         for o in walker
         if check_order(inst, o).double_count == ref.value
     ]
-    cuts = []
     _, roots = greedy_roots(inst)
-    for _ in range(200):
-        state = mp2_solve(inst, roots, cuts, inst.n)
-        assert state is not None
-        got = sp2_check(inst, state)
-        if isinstance(got, VertexOrder):
-            report = check_order(inst, got)
-            assert report.is_dvop
-            assert report.double_count == state.y_sum + 1 == ref.value
-            break
-        assert all(v not in state.clique for arc in got for v in arc)
-        cut = make_cycle_cut(got, inst.K)
-        assert not cut.satisfied_by(state)
+    cuts, trace = [], WitnessTrace()
+    state, order = mp2_solve(inst, roots, cuts, inst.n, trace=trace)
+    report = check_order(inst, order)
+    assert report.is_dvop
+    assert report.double_count == state.y_sum + 1 == ref.value
+    assert [cut for cut, _ in trace.cuts] == cuts
+    for cut, leaf in trace.cuts:
+        assert all(v not in leaf.clique for arc in cut.arcs for v in arc)
+        assert not cut.satisfied_by(leaf)
         for induced in optimal_states:
             assert cut.satisfied_by(induced)
-        cuts.append(cut)
-    else:
-        pytest.fail("loop did not converge in 200 cuts")
+
+
+@pytest.mark.parametrize("pool", ["empty", "2cycles"])
+@pytest.mark.parametrize("args", [(9, 0.4, 2, 383), (10, 0.7, 3, 525)])
+def test_master_alone_is_exact(args, pool):
+    # With no greedy cutoff the master reaches the optimum by itself.  A cut
+    # separated mid-search counts arcs assigned before it existed, so undoing
+    # an assignment must also decrement it; a stale left side over-prunes.
+    inst = gen_random(*args)
+    _, roots = greedy_roots(inst)
+    cuts = [] if pool == "empty" else witness_decomp._seed_cuts(inst)
+    state, order = mp2_solve(inst, roots, cuts, inst.n)
+    assert check_order(inst, order).double_count == state.y_sum + 1
+    assert state.y_sum + 1 == brute_optimum(inst, "min-double").value
 
 
 @pytest.fixture
 def separating():
-    """An instance whose loop separates cycle cuts past the 2-cycle seeds:
-    three master iterations, two cuts, 24 root cliques."""
+    """An instance whose master separates cycle cuts past the 2-cycle
+    seeds (two), over 24 root cliques."""
     return gen_synthetic(3, 2, 0.1, 9, 11)
 
 
@@ -212,7 +220,7 @@ def test_trace_hooks(separating):
     trace = WitnessTrace()
     sol = solve_witness(separating, trace=trace)
     assert sol.status == "OPTIMAL" and sol.objective == 2
-    assert sol.stats.iterations == 3 and sol.stats.cuts == 2
+    assert sol.stats.iterations == 1 and sol.stats.cuts >= 1
     assert len(trace.cuts) == sol.stats.cuts
     assert len(trace.accepted) == 1
     state, order = trace.accepted[0]
@@ -222,8 +230,8 @@ def test_trace_hooks(separating):
 
 
 def test_greedy_once_per_root(separating, monkeypatch):
-    # One greedy completion per root clique and solve, not per master
-    # iteration: three iterations, 24 roots, 24 greedy calls.
+    # One greedy completion per root clique and solve: one master search,
+    # 24 roots, 24 greedy calls.
     calls, greedy = [], order_module.greedy_from_clique
     for name, module in list(sys.modules.items()):
         if name.startswith("ddvop") and getattr(module, "greedy_from_clique", None) is greedy:
@@ -232,7 +240,7 @@ def test_greedy_once_per_root(separating, monkeypatch):
             )
     roots = enumerate_cliques(separating, 4)
     assert len(roots) == 24
-    assert solve_witness(separating).stats.iterations == 3
+    assert solve_witness(separating).stats.iterations == 1
     assert sorted(calls, key=lambda c: c.members) == roots
 
 
@@ -268,6 +276,37 @@ def test_greedy_decides_infeasibility():
     sol = solve_witness(inst, time_limit=0.6)
     assert sol.status == "INFEASIBLE"
     assert sol.stats.iterations == 0
+
+
+@pytest.mark.parametrize("fixture", ["g6a", "wheel6", "separating"])
+def test_greedy_order_proved_optimal(fixture, request):
+    # The master finds no state below the greedy count, so the greedy
+    # order is the answer, accepted with the state it induces.
+    inst = request.getfixturevalue(fixture)
+    greedy, report = greedy_dvop(inst)
+    trace = WitnessTrace()
+    sol = solve_witness(inst, trace=trace)
+    assert sol.status == "OPTIMAL"
+    assert sol.objective == report.double_count == brute_optimum(inst, "min-double").value
+    assert sol.order == greedy
+    assert sol.stats.iterations == 1
+    assert trace.accepted == [(induce_witness_state(inst, greedy), greedy)]
+    assert ef_validate(inst, *trace.accepted[0])
+
+
+@pytest.mark.parametrize("density,seed,status", [(0.6, 11, "OPTIMAL"), (0.4, 10, "TIMEOUT")])
+def test_dense_solve_keeps_time_limit(density, seed, status):
+    # The master polls the deadline at every node.  At d = 0.6 the greedy
+    # order has the one double every order has, so no search runs.
+    inst = gen_random(28, density, 3, seed)
+    _, report = greedy_dvop(inst)
+    t0 = time.monotonic()
+    sol = solve_witness(inst, time_limit=0.4)
+    assert time.monotonic() - t0 < 0.6
+    assert sol.status == status
+    assert sol.objective == report.double_count
+    if status == "TIMEOUT":
+        assert_timeout_incumbent(inst, sol)
 
 
 def test_timeout():

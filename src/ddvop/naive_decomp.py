@@ -110,6 +110,7 @@ def sp1_solve(
     pattern: DoublePattern,
     deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
+    dead: list[set[int]] | None = None,
 ) -> VertexOrder | None:
     """Find an order whose rank-r vertex meets the pattern's threshold.
 
@@ -117,6 +118,16 @@ def sp1_solve(
     demands at least K adjacent predecessors when pattern[r] = 1 and at
     least K+1 otherwise.  The initial clique is kept ascending to break
     its symmetry (thresholds are invariant under permuting it).
+
+    `dead[p]` holds placed masks of popcount p > K known to admit no
+    completion.  Past rank K the search state is the mask alone: the
+    next rank is its popcount p, and every later threshold comes from
+    pattern[p..n-1], so a mask's verdict depends only on the ranks from
+    p up and a dead mask stays dead under any pattern at least as strict
+    there.  Below that the symmetry break reads the last vertex placed,
+    so those states are not memoized.  A caller may pass `dead` (one set
+    per rank 0..n-1) to carry verdicts between calls; otherwise the call
+    keeps its own.
     """
     n, K = inst.n, inst.K
     adj = inst.adj_bits
@@ -127,6 +138,8 @@ def sp1_solve(
         # Rank K always has exactly K adjacent predecessors, so the
         # double-free threshold K+1 can never be met there.
         return None
+    if dead is None:
+        dead = [set() for _ in range(n)]
     perm: list[int] = []
 
     def rec(mask: int) -> bool:
@@ -135,6 +148,8 @@ def sp1_solve(
         r = len(perm)
         if r == n:
             return True
+        if r > K and mask in dead[r]:
+            return False
         cands: list[tuple[int, int]] = []
         for v in range(n):
             if mask >> v & 1:
@@ -153,6 +168,8 @@ def sp1_solve(
             if rec(mask | (1 << v)):
                 return True
             perm.pop()
+        if r > K:
+            dead[r].add(mask)
         return False
 
     if rec(0):
@@ -176,17 +193,26 @@ def find_iis(
     even it is infeasible the instance has no valid order at all, no cut
     exists, and None is returned after that one test rather than one per
     strict rank.
+
+    The scan's tests share one dead-mask memo (see `sp1_solve`).  A
+    mask's verdict depends only on the ranks from its popcount up, and
+    once rank r has been tested every rank >= r is final or, when r
+    survives, stricter than in that test.  So the buckets of popcount
+    >= r stay sound for the rest of the scan, and those below r are
+    cleared, since later tests may relax their ranks.  The all-strict
+    and all-double tests keep their own memos.
     """
     n, K = inst.n, inst.K
     bits = pattern.bits
     if any(bits[r] for r in range(K)) or bits[K] != 1:
         raise ValueError("pattern must respect the base fixings")
 
-    def feasible(strict: set[int]) -> bool:
+    def feasible(strict: set[int], dead: list[set[int]] | None = None) -> bool:
         test = tuple(
             0 if (r < K or r in strict) else 1 for r in range(n)
         )
-        return sp1_solve(inst, DoublePattern(test), deadline, stats) is not None
+        found = sp1_solve(inst, DoublePattern(test), deadline, stats, dead)
+        return found is not None
 
     strict0 = sorted((r for r in range(K + 1, n) if bits[r] == 0), reverse=True)
     survivors = set(strict0)
@@ -194,9 +220,12 @@ def find_iis(
         raise ValueError("pattern is feasible; no infeasible subsystem exists")
     if not feasible(set()):
         return None
+    dead: list[set[int]] = [set() for _ in range(n)]
     for r in strict0:
-        if not feasible(survivors - {r}):
+        if not feasible(survivors - {r}, dead):
             survivors.discard(r)
+        for p in range(r):
+            dead[p].clear()
     return BendersCut(frozenset(survivors))
 
 

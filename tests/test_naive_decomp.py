@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import naive_decomp
@@ -67,6 +68,79 @@ def test_find_iis_g6a(g6a):
 def test_find_iis_rejects_realizable(g6a):
     with pytest.raises(ValueError):
         find_iis(g6a, DoublePattern((0, 0, 1, 1, 0, 1)))
+
+
+def reference_feasible(inst, bits):
+    """Unmemoized subproblem: the masks reachable rank by rank.
+
+    A mask of popcount r is a placed prefix, and the rank-r vertex needs
+    r adjacent predecessors below K (a clique), K at a double and K+1
+    elsewhere.
+    """
+    n, K, adj = inst.n, inst.K, inst.adj_bits
+    layer = {0}
+    for r in range(n):
+        need = r if r < K else (K if bits[r] else K + 1)
+        layer = {
+            mask | 1 << v
+            for mask in layer
+            for v in range(n)
+            if not mask >> v & 1 and (adj[v] & mask).bit_count() >= need
+        }
+    return bool(layer)
+
+
+def reference_iis(inst, bits):
+    """The deletion filter with every test a fresh reference search."""
+    n, K = inst.n, inst.K
+
+    def feasible(strict):
+        return reference_feasible(
+            inst, [0 if (r < K or r in strict) else 1 for r in range(n)]
+        )
+
+    strict0 = sorted((r for r in range(K + 1, n) if bits[r] == 0), reverse=True)
+    survivors = set(strict0)
+    if not feasible(set()):
+        return None
+    for r in strict0:
+        if not feasible(survivors - {r}):
+            survivors.discard(r)
+    return BendersCut(frozenset(survivors))
+
+
+@st.composite
+def instance_and_pattern(draw):
+    """A small instance and a pattern that respects its base fixings."""
+    inst = draw(small_instances())
+    n, K = inst.n, inst.K
+    free = draw(st.lists(st.booleans(), min_size=n - K - 1, max_size=n - K - 1))
+    return inst, DoublePattern((0,) * K + (1,) + tuple(map(int, free)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance_and_pattern())
+def test_sp1_matches_reference(case):
+    inst, pattern = case
+    order = sp1_solve(inst, pattern)
+    assert (order is not None) == reference_feasible(inst, pattern.bits)
+    if order is not None:
+        report = check_order(inst, order)
+        assert report.is_dvop
+        assert all(report.doubles.bits[r] <= b for r, b in enumerate(pattern.bits))
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance_and_pattern())
+def test_find_iis_matches_reference(case):
+    # The filter's decisions are feasibility verdicts alone, so the memo
+    # carried across its tests must leave the cut unchanged.
+    inst, pattern = case
+    if reference_feasible(inst, pattern.bits):
+        with pytest.raises(ValueError):
+            find_iis(inst, pattern)
+    else:
+        assert find_iis(inst, pattern) == reference_iis(inst, pattern.bits)
 
 
 def test_find_iis_hopeless_instance(p5_k2, monkeypatch):

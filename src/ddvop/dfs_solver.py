@@ -24,6 +24,12 @@ Repeating for |P| = K+1, K+2, ... gives an optimal order whose every
 run of non-doubles is the closure of the set before it; that order is
 in the search, and every order the search builds is valid.
 
+The root loop stops at the floor every order pays: rank K is always a
+double and every width from rank K on is at least 2, so no order has
+fewer than 1 double or fewer than K + 2(n - K) nodes, and a root that
+reaches that value is optimal.  stats.cliques_considered counts the
+roots searched.
+
 On TIMEOUT the incumbent is the best order over the roots whose search
 finished, or none.
 """
@@ -94,13 +100,17 @@ def _closure_search(
         rest = memo[nxt][0]
         return 2 * (1 + len(added) + rest) if minimize_nodes else 1 + rest
 
+    floor = K + 2 * (inst.n - K) if minimize_nodes else 1
     best, root, status = inf, 0, "OPTIMAL"
     try:
         for clique in enumerate_cliques(inst, K + 1):
+            stats.cliques_considered += 1
             mask = sum(1 << v for v in clique.members)
             value = branch(mask) + (K if minimize_nodes else 0)
             if value < best:
                 best, root = value, mask
+            if best == floor:
+                break
     except TimeoutError:
         status = "TIMEOUT"
     if best == inf:

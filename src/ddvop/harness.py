@@ -36,8 +36,9 @@ DOUBLE_ONLY_METHODS = ("naive", "witness")
 # recurses up to one frame per rank (dfs: one per double), so n near
 # Python's default recursion limit of 1000 dies in RecursionError; 500
 # leaves half that limit to the callers (CLI, bench, a test runner).
-# Larger n is out of reach anyway for naive and witness: their O(n^3)
-# greedy pass alone takes tens of seconds at a few hundred vertices.
+# The greedy pass of naive and witness sets no lower cap: it is
+# O(c(n + m)) for c root cliques and polls the deadline after each one
+# (all 399 roots of a 400-vertex path take about 0.13 s).
 MAX_N = 500
 
 # The solve stats CSV prints RESULT_HEADER; a bench row prefixes the instance.

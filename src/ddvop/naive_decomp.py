@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graph import Instance
-from .order import DoublePattern, VertexOrder, check_order, greedy_dvop
+from .order import DoublePattern, VertexOrder, check_order, greedy_roots
 from .solution import Deadline, Solution, SolveStats
 
 
@@ -278,7 +278,9 @@ def solve_naive(
     except TimeoutError:
         # The greedy order is the incumbent; it is built only here, since
         # on dense graphs one greedy pass can cost more than a whole solve.
-        warm = greedy_dvop(inst)
+        # It polls a deadline of its own, half the limit, so the TIMEOUT
+        # returns within about 1.5 times the limit.
+        warm, _ = greedy_roots(inst, Deadline(time_limit / 2))
         if warm is None:
             return Solution("TIMEOUT", None, None, None, stats)
         order, report = warm

@@ -19,9 +19,12 @@ and the tree size is sum(nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .graph import Clique, Instance, enumerate_cliques
+
+if TYPE_CHECKING:  # solution imports this module
+    from .solution import Deadline
 
 
 @dataclass(frozen=True)
@@ -128,39 +131,71 @@ def greedy_from_clique(
 
     The unplaced vertex with the most adjacent placed predecessors is
     appended, ties broken by lowest index, until the order completes or
-    no vertex has K placed neighbors.
+    no vertex has K placed neighbors.  Each vertex keeps its count of
+    placed neighbors, and a bucket queue (one vertex bitmask per count)
+    yields the next vertex: a placement costs O(deg) count updates, so a
+    completion is O(n + m) bucket operations rather than a rescan of
+    every vertex per step.
     """
+    n, K = inst.n, inst.K
     perm = list(clique.members)
-    placed = 0
+    placed = [False] * n
     for v in perm:
-        placed |= 1 << v
-    while len(perm) < inst.n:
-        best_v = -1
-        best_pred = -1
-        for v in range(inst.n):
-            if placed >> v & 1:
-                continue
-            pred = (inst.adj_bits[v] & placed).bit_count()
-            if pred > best_pred:
-                best_pred = pred
-                best_v = v
-        if best_pred < inst.K:
+        placed[v] = True
+    count = [0] * n
+    for v in perm:
+        for u in inst.neighbors[v]:
+            count[u] += 1
+    # buckets[c]: the unplaced vertices with c placed neighbors, as bits.
+    buckets = [0] * n
+    top = -1
+    for v in range(n):
+        if not placed[v]:
+            c = count[v]
+            buckets[c] |= 1 << v
+            if c > top:
+                top = c
+    while len(perm) < n:
+        while top >= K and not buckets[top]:
+            top -= 1
+        if top < K:
             return None
-        perm.append(best_v)
-        placed |= 1 << best_v
+        ties = buckets[top]
+        v = (ties & -ties).bit_length() - 1
+        buckets[top] = ties ^ (1 << v)
+        perm.append(v)
+        placed[v] = True
+        for u in inst.neighbors[v]:
+            if not placed[u]:
+                c = count[u]
+                count[u] = c + 1
+                buckets[c] ^= 1 << u
+                buckets[c + 1] |= 1 << u
+                if c + 1 > top:
+                    top = c + 1
     order = VertexOrder(tuple(perm))
     return order, check_order(inst, order)
 
 
 def greedy_roots(
-    inst: Instance,
+    inst: Instance, deadline: Optional[Deadline] = None
 ) -> tuple[Optional[tuple[VertexOrder, OrderReport]], list[Clique]]:
     """The greedy order, and the initial (K+1)-cliques ranked by greedy.
 
-    One greedy completion per clique.  The order is the completion with
-    the fewest doubles (first clique wins ties), or None.  The cliques are
-    sorted by their completion's double count, those whose walk dead-ends
-    last; the sort is stable, so ties keep the lexicographic clique order.
+    One greedy completion per clique, in lexicographic clique order.  The
+    order is the completion with the fewest doubles (first clique wins
+    ties), or None.  The cliques are sorted by their completion's double
+    count, those whose walk dead-ends last; the sort is stable, so ties
+    keep the lexicographic clique order.
+
+    The pass stops early in two cases, and then ranks only the cliques
+    completed so far.  A completion with 1 double stops it: rank K is a
+    double in every order, so no clique can do better, and the first
+    such completion is the one the full pass would return.  And the
+    deadline (None: no limit) is polled after each completion; once it
+    has expired, the best completion so far is returned.  A pass cut by
+    the deadline with no completion does not prove infeasibility, so the
+    caller must poll the deadline itself before reading None that way.
     """
     best: Optional[tuple[VertexOrder, OrderReport]] = None
     scored = []
@@ -169,6 +204,10 @@ def greedy_roots(
         scored.append((got[1].double_count if got else inst.n + 1, clique))
         if got is not None and (best is None or got[1].double_count < best[1].double_count):
             best = got
+            if best[1].double_count == 1:
+                break
+        if deadline is not None and deadline.expired():
+            break
     return best, [c for _, c in sorted(scored, key=lambda s: s[0])]
 
 

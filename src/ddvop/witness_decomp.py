@@ -17,7 +17,8 @@ refuted leaves converges to an optimal order; the extended validator
 checks an accepted (clique, witnesses, doubles, order) against the full
 one-shot constraint set.  Witness reads no presolve: one greedy pass
 decides feasibility and gives the master its strict cutoff and its
-ranked roots.  The cut pool is seeded with the cut of every 2-cycle
+ranked roots; a greedy order with the 1 double every order has needs
+no master at all.  The cut pool is seeded with the cut of every 2-cycle
 (two neighbors witness each other only inside the clique): the valid
 inequalities that strengthen the master from its first node, and the
 reason a vertex's users cannot be its witnesses in the forced-double
@@ -426,12 +427,17 @@ def solve_witness(
     """Greedy warm start, then one branch-and-check master search.
 
     The greedy warm start decides feasibility, so an infeasible instance
-    returns INFEASIBLE with no master search (iterations 0).  Otherwise
-    mp2_solve looks for a state with fewer doubles than the greedy order,
-    starting from the cut of every 2-cycle; stats.cuts and trace.cuts
-    count only the cuts it separates.  When it finds none, the greedy
-    order is optimal and its induced state is the accepted one.  A
-    completed search sets iterations to 1.  No presolve runs.
+    returns INFEASIBLE with no master search (iterations 0).  A greedy
+    order with 1 double is optimal, since every order has its rank-K
+    double; it returns OPTIMAL with no master search either (iterations
+    0): a master with cutoff 0 can find nothing.  Otherwise mp2_solve
+    looks for a state with fewer doubles than the greedy order, starting
+    from the cut of every 2-cycle; stats.cuts and trace.cuts count only
+    the cuts it separates.  When it finds none, the greedy order is
+    optimal and its induced state is the accepted one.  A completed
+    search sets iterations to 1.  The greedy pass polls the deadline
+    after each root; on TIMEOUT the incumbent is the best greedy order,
+    or none.  No presolve runs.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -439,14 +445,19 @@ def solve_witness(
     try:
         # One greedy pass gives the warm start and the order of the roots.
         # Greedy completes some root exactly when a valid order exists.
-        warm, roots = greedy_roots(inst)
+        # A pass cut short by the deadline proves nothing; mp2_solve polls
+        # the deadline before its first root, so it never reads the rest.
+        warm, roots = greedy_roots(inst, deadline)
         if warm is None:
-            return Solution("INFEASIBLE", None, None, None, stats)
-        found = mp2_solve(
-            inst, roots, _seed_cuts(inst), warm[1].double_count - 1,
-            stats, deadline, trace,
-        )
-        stats.iterations = 1
+            status = "TIMEOUT" if deadline.expired() else "INFEASIBLE"
+            return Solution(status, None, None, None, stats)
+        found = None
+        if warm[1].double_count > 1:
+            found = mp2_solve(
+                inst, roots, _seed_cuts(inst), warm[1].double_count - 1,
+                stats, deadline, trace,
+            )
+            stats.iterations = 1
         if found is None:
             found = (induce_witness_state(inst, warm[0]), warm[0])
         state, got = found

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_timeout_incumbent, path_edges, small_instances
+from ddvop import dfs_solver
 from ddvop.dfs_solver import solve
-from ddvop.graph import Instance
+from ddvop.graph import Instance, enumerate_cliques
 from ddvop.harness import solve_with_method
-from ddvop.instgen import GenerationError, gen_synthetic_detailed
+from ddvop.instgen import GenerationError, gen_random, gen_synthetic_detailed
 from ddvop.modelgen import FORMULATIONS, validate_formulation
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
@@ -95,6 +96,35 @@ def test_time_recorded_on_every_exit(fixture, time_limit, status, searched, requ
     assert sol.status == status
     assert (sol.stats.choice_points > 0) == searched
     assert sol.stats.time_ms > 0
+
+
+def floor_value(inst, objective):
+    """What every order pays: the rank-K double, and width 2 from rank K on."""
+    return 1 if objective == "min-double" else inst.K + 2 * (inst.n - inst.K)
+
+
+@pytest.mark.parametrize("objective", ["min-double", "min-nodes"])
+@pytest.mark.parametrize("name", ["k6", "dense"])
+def test_stops_at_first_floor_root(name, objective, request, monkeypatch):
+    inst = request.getfixturevalue(name) if name == "k6" else gen_random(20, 0.7, 3, 1)
+    sol = solve(inst, objective)
+    assert sol.status == "OPTIMAL"
+    assert sol.objective == floor_value(inst, objective)
+    # The value of each root alone, searched in clique order up to the
+    # first one at the floor: that many roots are searched, no more.
+    roots = enumerate_cliques(inst, inst.K + 1)
+    for searched, root in enumerate(roots, 1):
+        monkeypatch.setattr(dfs_solver, "enumerate_cliques", lambda i, s: [root])
+        if solve(inst, objective).objective == sol.objective:
+            break
+    assert sol.stats.cliques_considered == searched < len(roots)
+
+
+@pytest.mark.parametrize("objective", ["min-double", "min-nodes"])
+def test_searches_every_root_above_floor(g6a, objective):
+    sol = solve(g6a, objective)
+    assert sol.objective > floor_value(g6a, objective)
+    assert sol.stats.cliques_considered == len(enumerate_cliques(g6a, 3))
 
 
 def test_stats_populated(g6a):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_instances
-from ddvop.graph import Clique, Instance
+from ddvop import order as order_module
+from ddvop.graph import Clique, Instance, enumerate_cliques
 from ddvop.order import (
     DoublePattern,
     OrderReport,
@@ -16,9 +17,11 @@ from ddvop.order import (
     format_solution,
     greedy_dvop,
     greedy_from_clique,
+    greedy_roots,
     parse_solution,
 )
 from ddvop.oracle import enumerate_valid_orders
+from ddvop.solution import Deadline
 
 
 def test_vertex_order_views():
@@ -109,6 +112,72 @@ def test_greedy_from_clique_stuck():
     inst = Instance.build(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
     assert greedy_from_clique(inst, Clique((0, 1, 2))) is None
     assert greedy_dvop(inst) is None
+
+
+def rescan_from_clique(inst, clique):
+    """Reference greedy completion: rescan every vertex at each step."""
+    perm = list(clique.members)
+    placed = 0
+    for v in perm:
+        placed |= 1 << v
+    while len(perm) < inst.n:
+        best_v = -1
+        best_pred = -1
+        for v in range(inst.n):
+            if placed >> v & 1:
+                continue
+            pred = (inst.adj_bits[v] & placed).bit_count()
+            if pred > best_pred:
+                best_pred = pred
+                best_v = v
+        if best_pred < inst.K:
+            return None
+        perm.append(best_v)
+        placed |= 1 << best_v
+    order = VertexOrder(tuple(perm))
+    return order, check_order(inst, order)
+
+
+@settings(deadline=None)
+@given(small_instances())
+def test_greedy_matches_rescanning_reference(inst):
+    # The bucket queue picks exactly the vertex a full rescan picks, and
+    # greedy_roots keeps the first completion with the fewest doubles.
+    want = None
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        ref = rescan_from_clique(inst, clique)
+        assert greedy_from_clique(inst, clique) == ref
+        if ref is not None and (want is None or ref[1].double_count < want[1].double_count):
+            want = ref
+    assert greedy_dvop(inst) == want
+
+
+def count_completions(monkeypatch):
+    calls, greedy = [], order_module.greedy_from_clique
+    monkeypatch.setattr(
+        order_module, "greedy_from_clique", lambda i, c: calls.append(c) or greedy(i, c)
+    )
+    return calls
+
+
+def test_greedy_stops_at_one_double(k6, monkeypatch):
+    # Every order has its rank-K double, so the first 1-double completion
+    # ends the pass: one of k6's 20 triangles is completed and ranked.
+    calls = count_completions(monkeypatch)
+    best, ranked = greedy_roots(k6)
+    assert best[1].double_count == 1
+    assert calls == ranked == [Clique((0, 1, 2))]
+
+
+def test_greedy_polls_deadline_per_completion(monkeypatch):
+    # A path's every completion has n - K doubles, so only the deadline
+    # stops the pass early: an expired one after the first completion.
+    inst = Instance.build(12, 1, [(i, i + 1) for i in range(11)])
+    calls = count_completions(monkeypatch)
+    best, ranked = greedy_roots(inst, Deadline(0.0))
+    assert len(calls) == len(ranked) == 1
+    assert best == rescan_from_clique(inst, ranked[0])
+    assert len(greedy_roots(inst, Deadline(None))[1]) == 11
 
 
 def test_format_and_parse_solution(g6a):

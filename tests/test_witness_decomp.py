@@ -309,12 +309,44 @@ def test_dense_solve_keeps_time_limit(density, seed, status):
         assert_timeout_incumbent(inst, sol)
 
 
-def test_timeout():
+def refuse_master(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp2_solve called")
+
+    monkeypatch.setattr(witness_decomp, "mp2_solve", refuse)
+
+
+def test_one_double_greedy_needs_no_master(monkeypatch):
+    # Every order has its rank-K double, so a 1-double greedy order proves
+    # itself, even past the deadline, with no master search.
+    refuse_master(monkeypatch)
     big = Instance.build(12, 3, list(itertools.combinations(range(12), 2)))
     sol = solve_witness(big, time_limit=1e-6)
-    assert sol.status == "TIMEOUT"
+    assert sol.status == "OPTIMAL"
     assert sol.objective == 1
-    assert_timeout_incumbent(big, sol)
+    assert sol.stats.iterations == 0
+    assert check_order(big, sol.order).double_count == 1
+
+
+def test_timeout(wheel6):
+    # wheel6's optimum is 3, so its greedy order needs the master, and
+    # the master polls the expired deadline before its first root.
+    sol = solve_witness(wheel6, time_limit=0.0)
+    assert_timeout_incumbent(wheel6, sol)
+    assert sol.objective >= 3
+    assert sol.stats.iterations == 0
+
+
+@pytest.mark.parametrize("route", [solve_witness, solve_naive])
+def test_path_timeout_keeps_time_limit(route):
+    # Greedy polls the deadline after each of the 399 roots; naive gives
+    # its TIMEOUT greedy pass a fresh half of the limit.
+    inst = Instance.build(400, 1, [(i, i + 1) for i in range(399)])
+    t0 = time.monotonic()
+    sol = route(inst, time_limit=0.5)
+    assert time.monotonic() - t0 < 0.75
+    assert_timeout_incumbent(inst, sol)
+    assert sol.objective == 399
 
 
 @pytest.mark.parametrize(
@@ -324,12 +356,14 @@ def test_timeout():
         ("p5_k2", None, "INFEASIBLE", 0),
         ("g6a_k3", None, "INFEASIBLE", 0),
         ("g6a", 0.0, "TIMEOUT", 0),
+        ("k5", 0.0, "OPTIMAL", 0),
     ],
     ids=[
         "optimal",
         "no-clique",
         "greedy-infeasible",
         "timeout",
+        "greedy-one-double",
     ],
 )
 def test_time_recorded_on_every_exit(fixture, time_limit, status, iterations, request):

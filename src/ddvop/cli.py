@@ -159,10 +159,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         nogood=ns.nogood,
         oracle_cap=DEFAULT_CAP if ns.cap is None else ns.cap,
     )
-    if sol.order is not None:
-        text = format_solution(sol.status, sol.order, check_order(inst, sol.order))
-    else:
-        text = format_solution(sol.status)
+    report = None if sol.order is None else check_order(inst, sol.order)
+    text = format_solution(sol.status, sol.order, report, sol.lower_bound)
     _emit(ns, text, _solve_stats_csv(ns.method, sol))
     return 0
 

@@ -31,7 +31,7 @@ reaches that value is optimal.  stats.cliques_considered counts the
 roots searched.
 
 On TIMEOUT the incumbent is the best order over the roots whose search
-finished, or none.
+finished, or none, and lower_bound is that floor.
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ def _closure_search(
     except TimeoutError:
         status = "TIMEOUT"
     if best == inf:
-        return Solution("INFEASIBLE" if status == "OPTIMAL" else status, None, None, None, stats)
+        if status == "OPTIMAL":
+            return Solution("INFEASIBLE", None, None, None, stats)
+        return Solution(status, None, None, None, stats, floor)
     perm = [v for v in range(inst.n) if root >> v & 1]
     mask, added, _ = _close(adj, K, root)
     perm += added
@@ -125,4 +127,5 @@ def _closure_search(
     order = VertexOrder(tuple(perm))
     report = check_order(inst, order)
     assert report.is_dvop
-    return Solution(status, int(best), order, report.doubles, stats)
+    lower = int(best) if status == "OPTIMAL" else floor
+    return Solution(status, int(best), order, report.doubles, stats, lower)

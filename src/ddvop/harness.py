@@ -36,9 +36,11 @@ DOUBLE_ONLY_METHODS = ("naive", "witness")
 # recurses up to one frame per rank (dfs: one per double), so n near
 # Python's default recursion limit of 1000 dies in RecursionError; 500
 # leaves half that limit to the callers (CLI, bench, a test runner).
-# The greedy pass of naive and witness sets no lower cap: it is
-# O(c(n + m)) for c root cliques and polls the deadline after each one
-# (all 399 roots of a 400-vertex path take about 0.13 s).
+# The greedy and root-bound passes of naive and witness set no lower
+# cap: greedy is O(c(n + m)) for c root cliques and polls the deadline
+# after each one, and the bound polls it before each O(n + m) relaxation
+# pass (on all 399 roots of a 400-vertex path they take about 0.13 s
+# and 0.14 s).
 MAX_N = 500
 
 # The solve stats CSV prints RESULT_HEADER; a bench row prefixes the instance.
@@ -120,7 +122,9 @@ def solve_with_method(
         stats = SolveStats(time_ms=(time.monotonic() - t0) * 1000.0)
         if res is None:
             return Solution("INFEASIBLE", None, None, None, stats)
-        return Solution("OPTIMAL", res.value, res.order, res.report.doubles, stats)
+        return Solution(
+            "OPTIMAL", res.value, res.order, res.report.doubles, stats, res.value
+        )
     if method == "dfs":
         return solve(inst, objective, time_limit)
     if method == "naive":

@@ -11,17 +11,20 @@ The plain exclude-this-pattern cut is kept only as a test fallback
 (nogood=True); it removes a single pattern per round and is far weaker.
 Naive reads no presolve: the master starts from the base fixings alone,
 and the IIS cuts find the head covers a presolve would have given it
-within an iteration or two.
+within an iteration or two.  Once the first subproblem fails, the least
+root_bound over the initial cliques starts the master's deepening: no
+pattern with fewer free doubles can be realized.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
-from .graph import Instance
-from .order import DoublePattern, VertexOrder, check_order, greedy_roots
+from .graph import Instance, enumerate_cliques
+from .order import DoublePattern, VertexOrder, check_order, greedy_roots, root_bound
 from .solution import Deadline, Solution, SolveStats
 
 
@@ -54,14 +57,16 @@ def mp1_solve(
     K: int,
     cuts: Sequence[BendersCut | NoGoodCut],
     deadline: Deadline = Deadline(None),
+    start: int = 0,
 ) -> DoublePattern | None:
     """Minimum-cardinality pattern honoring the base fixings and the cuts.
 
     Ranks below K are never doubles and rank K always is one; ranks
     K+1..n-1 are free.  Iterative deepening over the number of free
-    doubles, scanning ranks in ascending order and trying 0 before 1,
-    returns the lexicographically smallest optimum.  Absent when no
-    pattern satisfies every cut.
+    doubles, from `start` (a count every pattern is known to need) up,
+    scanning ranks in ascending order and trying 0 before 1, returns the
+    lexicographically smallest optimum.  Absent when no pattern
+    satisfies every cut.
     """
     bits = [0] * n
     bits[K] = 1
@@ -77,6 +82,8 @@ def mp1_solve(
     def dfs(idx: int, remaining: int) -> tuple[int, ...] | None:
         if deadline.expired():
             raise TimeoutError
+        if remaining > len(free) - idx:
+            return None  # too few ranks left to place them
         if idx == len(free):
             if remaining != 0:
                 return None
@@ -98,7 +105,7 @@ def mp1_solve(
             bits[r] = 0
         return None
 
-    for extra in range(len(free) + 1):
+    for extra in range(start, len(free) + 1):
         got = dfs(0, extra)
         if got is not None:
             return DoublePattern(got)
@@ -238,31 +245,63 @@ class NaiveTrace:
     )
 
 
+def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
+    """The least root_bound over the initial cliques, for mp1_solve's start.
+
+    Read once the pattern with no free double has failed: then no root
+    has bound 0, since its closure would be an order meeting that
+    pattern, and the first cut already makes every pattern take a free
+    double.  So the scan stops at its first root with bound 1, which no
+    other root can beat.  Every valid order starts with some root, so
+    the least bound is a count of free doubles every order needs.  With
+    no completable root it is 0: infeasibility stays for the master and
+    the IIS filter to prove.  root_bound polls the deadline.
+    """
+    least = inf
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        least = min(least, root_bound(inst, clique, deadline))
+        if least <= 1:
+            break
+    return 0 if least == inf else least
+
+
 def solve_naive(
     inst: Instance,
     time_limit: float | None = None,
     nogood: bool = False,
     trace: NaiveTrace | None = None,
 ) -> Solution:
-    """Master-subproblem loop for the minimum-double objective."""
+    """Master-subproblem loop for the minimum-double objective.
+
+    After the first subproblem fails, deepening_start gives the master
+    a count of free doubles to start its deepening at.  lower_bound is
+    the larger of the last master pattern's double count (every cut and
+    the start hold for every valid order) and one more than the start.
+    """
     stats = SolveStats()
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
+    lower = 1
     try:
         cuts: list[BendersCut | NoGoodCut] = []
+        start = 0
         while True:
-            pattern = mp1_solve(inst.n, inst.K, cuts, deadline)
+            pattern = mp1_solve(inst.n, inst.K, cuts, deadline, start)
             stats.iterations += 1
             if pattern is None:
                 return Solution("INFEASIBLE", None, None, None, stats)
+            lower = max(lower, pattern.count())
             order = sp1_solve(inst, pattern, deadline, stats)
             if order is not None:
                 report = check_order(inst, order)
                 assert report.is_dvop
                 assert report.double_count == pattern.count()
                 return Solution(
-                    "OPTIMAL", pattern.count(), order, report.doubles, stats
+                    "OPTIMAL", pattern.count(), order, report.doubles, stats, lower
                 )
+            if stats.iterations == 1:
+                start = deepening_start(inst, deadline)
+                lower = max(lower, 1 + start)
             if nogood:
                 cuts.append(NoGoodCut(pattern.bits))
             else:
@@ -282,8 +321,10 @@ def solve_naive(
         # returns within about 1.5 times the limit.
         warm, _ = greedy_roots(inst, Deadline(time_limit / 2))
         if warm is None:
-            return Solution("TIMEOUT", None, None, None, stats)
+            return Solution("TIMEOUT", None, None, None, stats, lower)
         order, report = warm
-        return Solution("TIMEOUT", report.double_count, order, report.doubles, stats)
+        return Solution(
+            "TIMEOUT", report.double_count, order, report.doubles, stats, lower
+        )
     finally:
         stats.time_ms = (time.monotonic() - t0) * 1000.0

@@ -14,11 +14,17 @@ doubles[r] for that indicator, the level widths are
     nodes[r] = (doubles[r] + 1) * nodes[r-1]   for r >= K
 
 and the tree size is sum(nodes).
+
+Greedy search completes one order per initial (K+1)-clique; root_bound
+gives each such root a lower bound on the doubles past rank K of every
+order that starts with it.  Both keep each vertex's count of placed
+neighbors, so one completion or one relaxation pass costs O(n + m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Optional
 
 from .graph import Clique, Instance, enumerate_cliques
@@ -124,6 +130,17 @@ def check_order(inst: Instance, order: VertexOrder) -> OrderReport:
     )
 
 
+def _placed_counts(inst: Instance, members) -> tuple[list[bool], list[int]]:
+    """Placed flags for `members`, and every vertex's count of placed neighbors."""
+    placed = [False] * inst.n
+    count = [0] * inst.n
+    for v in members:
+        placed[v] = True
+        for u in inst.neighbors[v]:
+            count[u] += 1
+    return placed, count
+
+
 def greedy_from_clique(
     inst: Instance, clique: Clique
 ) -> Optional[tuple[VertexOrder, OrderReport]]:
@@ -139,13 +156,7 @@ def greedy_from_clique(
     """
     n, K = inst.n, inst.K
     perm = list(clique.members)
-    placed = [False] * n
-    for v in perm:
-        placed[v] = True
-    count = [0] * n
-    for v in perm:
-        for u in inst.neighbors[v]:
-            count[u] += 1
+    placed, count = _placed_counts(inst, perm)
     # buckets[c]: the unplaced vertices with c placed neighbors, as bits.
     buckets = [0] * n
     top = -1
@@ -175,6 +186,135 @@ def greedy_from_clique(
                     top = c + 1
     order = VertexOrder(tuple(perm))
     return order, check_order(inst, order)
+
+
+class _Relaxed:
+    """The placed set of root_bound's relaxation, with incremental counts.
+
+    count[u] is u's number of placed neighbors.  ready lists unplaced
+    vertices with more than K of them (the closure's work list); level
+    holds the unplaced ones with exactly K.  A placement updates the
+    counts of its neighbors only, so each vertex is placed once and one
+    pass over the whole graph costs O(n + m).
+    """
+
+    __slots__ = ("inst", "placed", "count", "left", "ready", "level")
+
+    def __init__(self, inst: Instance, members) -> None:
+        K = inst.K
+        self.inst = inst
+        self.placed, self.count = _placed_counts(inst, members)
+        self.left = inst.n - len(members)
+        unplaced = [v for v in range(inst.n) if not self.placed[v]]
+        self.ready = [v for v in unplaced if self.count[v] > K]
+        self.level = {v for v in unplaced if self.count[v] == K}
+
+    def copy(self) -> _Relaxed:
+        other = object.__new__(_Relaxed)
+        other.inst = self.inst
+        other.placed = self.placed[:]
+        other.count = self.count[:]
+        other.left = self.left
+        other.ready = self.ready[:]
+        other.level = set(self.level)
+        return other
+
+    def place(self, vertices) -> None:
+        """Place `vertices` together, then update their neighbors' counts."""
+        K, placed, count = self.inst.K, self.placed, self.count
+        neighbors, level, ready = self.inst.neighbors, self.level, self.ready
+        for v in vertices:
+            placed[v] = True
+        self.left -= len(vertices)
+        for v in vertices:
+            for u in neighbors[v]:
+                if not placed[u]:
+                    c = count[u] + 1
+                    count[u] = c
+                    if c == K:
+                        level.add(u)
+                    elif c == K + 1:
+                        level.discard(u)
+                        ready.append(u)
+
+    def close(self) -> None:
+        """Place every vertex with more than K placed neighbors, until none is left."""
+        ready, placed = self.ready, self.placed
+        while ready:
+            v = ready.pop()
+            if not placed[v]:
+                self.place((v,))
+
+    def stalls(self, limit: float = inf) -> float:
+        """Close, then stall (place all of level at once, counting 1), until done.
+
+        Infinite when a stall has nothing to place.  The pass ends early
+        once the count reaches `limit`, and then returns `limit`.
+        """
+        count = 0
+        while True:
+            self.close()
+            if not self.left:
+                return count
+            if not self.level:
+                return inf
+            count += 1
+            if count >= limit:
+                return limit
+            batch, self.level = self.level, set()
+            self.place(batch)
+
+
+def root_bound(
+    inst: Instance, clique: Clique, deadline: Optional[Deadline] = None
+) -> float:
+    """Lower bound on the doubles past rank K of any valid order from `clique`.
+
+    A relaxation of the order with one step of lookahead.  stalls(C)
+    alternates two steps from C until every vertex is placed: a closure
+    places every vertex with more than K placed neighbors, and a stall
+    places every vertex with exactly K and counts 1.  Both steps are
+    monotone in the placed set, so by induction, after j stalls the set
+    holds the prefix of any valid order from C that ends before its
+    (j+1)-th double past rank K: stalls(C) is at most that order's count
+    of such doubles (Lavor, Lee, Lee-St. John, Liberti, Mucherino and
+    Sviridenko, Optim. Lett. 2012, in counting form).  When a stall has
+    nothing to place, C cannot be completed and the bound is infinite.
+
+    Lookahead: let R be the closure of C.  The bound is 0 when R is every
+    vertex.  Otherwise the order's first double past rank K either lies
+    inside R, and then its prefix up to the second such double still
+    lies in R, so the order has at least 1 + stalls(C) of them; or it is
+    a vertex v outside R with exactly K neighbors in R, and the order has
+    at least 1 + stalls(R + v).  The bound is the least of these.  By
+    monotonicity stalls(C) - 1 <= stalls(R + v) <= stalls(C), so the
+    bound is stalls(C) or 1 + stalls(C), and the inside case never sets
+    it alone: it seeds the minimum, which lets each pass stop once it
+    cannot lower the bound, and the scan of the v stops at stalls(C).
+
+    Each pass costs O(n + m).  The deadline (None: no limit) is polled
+    before every pass; TimeoutError is raised when it has expired.
+    """
+    if deadline is not None and deadline.expired():
+        raise TimeoutError
+    closed = _Relaxed(inst, clique.members)
+    closed.close()
+    if not closed.left:
+        return 0
+    plain = closed.copy().stalls()
+    if plain == inf:
+        return inf  # every lookahead term is infinite too, by monotonicity
+    bound = 1 + plain  # the first double past rank K lies inside R
+    for v in sorted(closed.level):
+        if bound == plain:
+            break
+        if deadline is not None and deadline.expired():
+            raise TimeoutError
+        branch = closed.copy()
+        branch.level.discard(v)
+        branch.place((v,))
+        bound = min(bound, 1 + branch.stalls(bound - 1))
+    return bound
 
 
 def greedy_roots(
@@ -229,11 +369,13 @@ def format_solution(
     status: str,
     order: Optional[VertexOrder] = None,
     report: Optional[OrderReport] = None,
+    lower_bound: Optional[int] = None,
 ) -> str:
     """Render a solution file.
 
     Line 's <STATUS> <double_count> <total_nodes>' followed, when an order is
-    available, by 'o <v_0> ... <v_{n-1}>' and 'd <y_0> ... <y_{n-1}>'.
+    available, by 'o <v_0> ... <v_{n-1}>' and 'd <y_0> ... <y_{n-1}>', and,
+    when a lower bound is given, by the comment line 'c lower_bound <b>'.
     """
     if status not in STATUSES:
         raise ValueError(f"unknown status {status!r}")
@@ -245,6 +387,8 @@ def format_solution(
         lines = [f"s {status} {report.double_count} {report.total_nodes}"]
         lines.append("o " + " ".join(str(v) for v in order.perm))
         lines.append("d " + " ".join(str(b) for b in report.doubles))
+    if lower_bound is not None:
+        lines.append(f"c lower_bound {lower_bound}")
     return "\n".join(lines) + "\n"
 
 

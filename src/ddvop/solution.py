@@ -63,7 +63,10 @@ class Solution:
 
     status is OPTIMAL, INFEASIBLE, or TIMEOUT (ERROR only in bench rows).
     On TIMEOUT the incumbent fields carry the best known order, or None
-    when none was found; on INFEASIBLE they are all None.
+    when none was found; on INFEASIBLE they are all None.  lower_bound is
+    a proven lower bound on the optimum: the objective when OPTIMAL, at
+    most the incumbent on TIMEOUT, and None on INFEASIBLE (or where a
+    route proves none).
     """
 
     status: str
@@ -71,3 +74,4 @@ class Solution:
     order: VertexOrder | None
     doubles: DoublePattern | None
     stats: SolveStats = field(default_factory=SolveStats)
+    lower_bound: int | None = None

@@ -18,11 +18,13 @@ checks an accepted (clique, witnesses, doubles, order) against the full
 one-shot constraint set.  Witness reads no presolve: one greedy pass
 decides feasibility and gives the master its strict cutoff and its
 ranked roots; a greedy order with the 1 double every order has needs
-no master at all.  The cut pool is seeded with the cut of every 2-cycle
-(two neighbors witness each other only inside the clique): the valid
-inequalities that strengthen the master from its first node, and the
-reason a vertex's users cannot be its witnesses in the forced-double
-bound.
+no master at all.  Before the master, every root gets its root_bound,
+and the master skips a root whose bound reaches the cutoff: no order
+from it can beat the incumbent.  The cut pool is seeded with the cut
+of every 2-cycle (two neighbors witness each other only inside the
+clique): the valid inequalities that strengthen the master from its
+first node, and the reason a vertex's users cannot be its witnesses in
+the forced-double bound.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .graph import Clique, Instance
-from .order import VertexOrder, check_order, greedy_roots
+from .order import VertexOrder, check_order, greedy_roots, root_bound
 from .solution import Deadline, Solution, SolveStats
 
 Arc = tuple[int, int]
@@ -264,6 +266,7 @@ def mp2_solve(
     stats: Optional[SolveStats] = None,
     deadline: Deadline = Deadline(None),
     trace: Optional[WitnessTrace] = None,
+    bounds: Optional[Sequence[float]] = None,
 ) -> Optional[tuple[WitnessState, VertexOrder]]:
     """Best acyclic witness state below `cutoff` doubles, with its order.
 
@@ -278,8 +281,10 @@ def mp2_solve(
     counted in stats.cuts and logged with its leaf in trace.cuts) and
     the search goes on.
 
-    Branches are pruned on cuts whose left side exceeds the right, and
-    by the forced-double bound: an unassigned vertex w with exactly K
+    A root is skipped when its `bounds` entry (root_bound, aligned with
+    `roots`; None: no root bound) reaches the cutoff.  Branches are
+    pruned on cuts whose left side exceeds the right, and by the
+    forced-double bound: an unassigned vertex w with exactly K
     neighbors not already using w as a witness must be a double, and
     one with fewer can take no witness set.  A neighbor that uses w
     cannot also witness w, because the two arcs form a 2-cycle among
@@ -298,11 +303,13 @@ def mp2_solve(
     for ci in range(len(cuts)):
         index(ci)
 
-    for cl in roots:
+    for i, cl in enumerate(roots):
         if deadline.expired():
             raise TimeoutError
         if stats is not None:
             stats.cliques_considered += 1
+        if bounds is not None and bounds[i] >= cutoff:
+            continue
         members = frozenset(cl.members)
         clique_arcs = [
             (v, u) for v in cl.members for u in cl.members if u != v
@@ -435,13 +442,17 @@ def solve_witness(
     from the cut of every 2-cycle; stats.cuts and trace.cuts count only
     the cuts it separates.  When it finds none, the greedy order is
     optimal and its induced state is the accepted one.  A completed
-    search sets iterations to 1.  The greedy pass polls the deadline
-    after each root; on TIMEOUT the incumbent is the best greedy order,
-    or none.  No presolve runs.
+    search sets iterations to 1, even when the root bounds skip every
+    root.  The greedy pass polls the deadline after each root, and the
+    bound pass before each relaxation pass; on TIMEOUT the incumbent is
+    the best greedy order, or none, and lower_bound is 1 + the least
+    root bound, or 1 when the deadline expired before the bound pass
+    ended.  No presolve runs.
     """
     stats = SolveStats()
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
+    lower = 1
     try:
         # One greedy pass gives the warm start and the order of the roots.
         # Greedy completes some root exactly when a valid order exists.
@@ -449,13 +460,16 @@ def solve_witness(
         # the deadline before its first root, so it never reads the rest.
         warm, roots = greedy_roots(inst, deadline)
         if warm is None:
-            status = "TIMEOUT" if deadline.expired() else "INFEASIBLE"
-            return Solution(status, None, None, None, stats)
+            if deadline.expired():
+                return Solution("TIMEOUT", None, None, None, stats, lower)
+            return Solution("INFEASIBLE", None, None, None, stats)
         found = None
         if warm[1].double_count > 1:
+            bounds = [root_bound(inst, cl, deadline) for cl in roots]
+            lower = 1 + min(bounds)
             found = mp2_solve(
                 inst, roots, _seed_cuts(inst), warm[1].double_count - 1,
-                stats, deadline, trace,
+                stats, deadline, trace, bounds,
             )
             stats.iterations = 1
         if found is None:
@@ -468,10 +482,10 @@ def solve_witness(
         assert ef_validate(inst, state, got)
         if trace is not None:
             trace.accepted.append((state, got))
-        return Solution("OPTIMAL", objective, got, report.doubles, stats)
+        return Solution("OPTIMAL", objective, got, report.doubles, stats, objective)
     except TimeoutError:
         return Solution(
-            "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats
+            "TIMEOUT", warm[1].double_count, warm[0], warm[1].doubles, stats, lower
         )
     finally:
         stats.time_ms = (time.monotonic() - t0) * 1000.0

@@ -192,6 +192,35 @@ def test_criterion_05_cross_solver_equivalence(corpus_runs):
     print(f"criterion 5: PASS ({elapsed:.0f}s for 70 instances)")
 
 
+def test_lower_bound_below_optimum(corpus_runs):
+    # Every route's lower_bound is proved: equal to the objective when
+    # OPTIMAL, at most the oracle optimum and the incumbent on TIMEOUT,
+    # absent on INFEASIBLE.  Short limits reach the TIMEOUT paths; which
+    # ones time out varies, but every outcome is checked.
+    runs, _ = corpus_runs
+    timeouts = 0
+    for name, run in runs.items():
+        sols = list(run.solutions.items())
+        for limit in (0.0, 0.005):
+            for method in ("dfs", "naive", "witness"):
+                sols.append((method, solve_with_method(run.inst, method, time_limit=limit)))
+        for method, sol in sols:
+            key = (name, method, sol.status, sol.objective, sol.lower_bound)
+            if sol.status == "INFEASIBLE":
+                assert sol.lower_bound is None, key
+            elif sol.status == "OPTIMAL":
+                assert sol.lower_bound == sol.objective == run.oracle_value, key
+            else:
+                timeouts += 1
+                assert sol.lower_bound >= 1, key
+                if run.oracle_value is not None:
+                    assert sol.lower_bound <= run.oracle_value, key
+                if sol.objective is not None:
+                    assert sol.lower_bound <= sol.objective, key
+    assert timeouts > 0
+    print(f"lower bounds: PASS ({timeouts} TIMEOUT answers checked)")
+
+
 def test_criterion_06_presolve_soundness(corpus_runs):
     runs, _ = corpus_runs
     for name, run in runs.items():

@@ -47,6 +47,23 @@ def test_solve_methods(method, g6a_file, capsys):
     assert err.splitlines()[1].startswith(f"{method},OPTIMAL,2,")
 
 
+@pytest.mark.parametrize(
+    "argv,last",
+    [
+        (["--method", "witness"], "c lower_bound 2"),
+        (["--method", "naive", "--time-limit", "0"], "c lower_bound 1"),
+        (["--objective", "nodes"], "c lower_bound 12"),
+        (["--objective", "nodes", "--time-limit", "0"], "c lower_bound 10"),
+    ],
+)
+def test_solve_prints_lower_bound(argv, last, g6a_file, capsys):
+    # The last line is a comment, so the solution parses as before.
+    assert main(["solve", g6a_file, *argv]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines()[-1] == last
+    assert parse_solution(out) == parse_solution(out[: out.rindex("c ")])
+
+
 def test_solve_min_nodes(g6a_file, capsys):
     assert main(["solve", g6a_file, "--objective", "nodes"]) == 0
     out, _ = capsys.readouterr()

@@ -121,6 +121,14 @@ def test_stops_at_first_floor_root(name, objective, request, monkeypatch):
 
 
 @pytest.mark.parametrize("objective", ["min-double", "min-nodes"])
+def test_timeout_lower_bound_is_floor(g6a, objective):
+    sol = solve(g6a, objective, time_limit=0.0)
+    assert sol.status == "TIMEOUT"
+    assert sol.lower_bound == floor_value(g6a, objective)
+    assert solve(g6a, objective).lower_bound == EXPECT["g6a"][objective == "min-nodes"]
+
+
+@pytest.mark.parametrize("objective", ["min-double", "min-nodes"])
 def test_searches_every_root_above_floor(g6a, objective):
     sol = solve(g6a, objective)
     assert sol.objective > floor_value(g6a, objective)

@@ -1,5 +1,8 @@
 """Benchmark harness: method dispatch, grid runs, CSV, performance profiles."""
 
+import itertools
+import random
+
 import pytest
 
 import ddvop.harness
@@ -15,8 +18,9 @@ from ddvop.harness import (
     run_bench,
     solve_with_method,
 )
-from ddvop.graph import Instance
+from ddvop.graph import DisconnectedGraphError, Instance
 from ddvop.instgen import gen_random
+from ddvop.oracle import brute_optimum
 from ddvop.order import check_order
 from ddvop.solution import SolveStats
 
@@ -30,6 +34,39 @@ def test_dispatch_min_double(method, g6a, g6b):
     assert check_order(g6a, sol.order).is_dvop
     sol = solve_with_method(g6b, method)
     assert sol.status == "OPTIMAL" and sol.objective == 1
+
+
+def test_routes_match_brute_optimum_sweep():
+    # 600 random connected instances (n 6-11, K 1-3, edge probability
+    # 0.3-0.9): every solver route gives the oracle's verdict and value,
+    # with lower_bound equal to the optimum, under both objectives where
+    # it supports them.  The root bounds skip witness roots and start
+    # naive's deepening, so a bound above some root's optimum shows here.
+    rng = random.Random(17)
+    swept = feasible = 0
+    while swept < 600:
+        n, K = rng.randint(6, 11), rng.randint(1, 3)
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        try:
+            inst = Instance.build(n, K, edges)
+        except DisconnectedGraphError:
+            continue
+        swept += 1
+        for objective, methods in (
+            ("min-double", ("dfs", "naive", "witness")),
+            ("min-nodes", ("dfs",)),
+        ):
+            ref = brute_optimum(inst, objective)
+            feasible += ref is not None and objective == "min-double"
+            for method in methods:
+                sol = solve_with_method(inst, method, objective)
+                if ref is None:
+                    assert (sol.status, sol.lower_bound) == ("INFEASIBLE", None), method
+                else:
+                    got = (sol.status, sol.objective, sol.lower_bound)
+                    assert got == ("OPTIMAL", ref.value, ref.value), (method, objective, edges)
+    assert feasible > 300
 
 
 @pytest.mark.parametrize("method", ["oracle", "dfs"])

@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import naive_decomp
+from ddvop.graph import enumerate_cliques
 from ddvop.harness import solve_with_method
 from ddvop.naive_decomp import (
     BendersCut,
     NaiveTrace,
     NoGoodCut,
+    deepening_start,
     find_iis,
     mp1_solve,
     solve_naive,
     sp1_solve,
 )
 from ddvop.oracle import brute_optimum
-from ddvop.order import DoublePattern, check_order
+from ddvop.order import DoublePattern, check_order, root_bound
 
 
 def test_cut_satisfaction():
@@ -36,6 +38,16 @@ def test_mp1_base_only():
     # A cover below rank K is unsatisfiable; one holding rank K always holds.
     assert mp1_solve(6, 2, [BendersCut(frozenset({0, 1}))]) is None
     assert mp1_solve(6, 2, [BendersCut(frozenset({1, 2}))]).bits == (0, 0, 1, 0, 0, 0)
+
+
+def test_mp1_deepening_start():
+    # The deepening begins at `start` free doubles; the cuts still apply.
+    assert mp1_solve(6, 2, [], start=2).bits == (0, 0, 1, 0, 1, 1)
+    cuts = [BendersCut(frozenset({3})), BendersCut(frozenset({4, 5}))]
+    assert mp1_solve(6, 2, cuts, start=1).bits == (0, 0, 1, 1, 0, 1)
+    assert mp1_solve(6, 2, cuts, start=3).bits == (0, 0, 1, 1, 1, 1)
+    # A start no pattern can reach leaves nothing.
+    assert mp1_solve(6, 2, [], start=4) is None
 
 
 def test_sp1_g6a(g6a):
@@ -209,6 +221,47 @@ def test_time_recorded_on_every_exit(
     if iterations is not None:
         assert sol.stats.iterations == iterations
     assert sol.stats.time_ms > 0
+
+
+def test_deepening_start_stops_at_bound_one(g6a, wheel6, monkeypatch):
+    # g6a's first root already has bound 1, which ends the scan; wheel6's
+    # least bound, 2, needs every root.
+    calls, bound = [], root_bound
+    monkeypatch.setattr(
+        naive_decomp, "root_bound", lambda *a: calls.append(a[1]) or bound(*a)
+    )
+    assert deepening_start(g6a) == 1
+    assert calls == enumerate_cliques(g6a, 3)[:1]
+    calls.clear()
+    assert deepening_start(wheel6) == 2
+    assert calls == enumerate_cliques(wheel6, 3)
+
+
+def test_deepening_start_leaves_infeasibility_to_master(g6a_k3):
+    # No root completes, so every bound is infinite; naive still proves
+    # INFEASIBLE through its own master and IIS filter.
+    assert all(root_bound(g6a_k3, c) == float("inf") for c in enumerate_cliques(g6a_k3, 4))
+    assert deepening_start(g6a_k3) == 0
+    sol = solve_naive(g6a_k3)
+    assert sol.status == "INFEASIBLE" and sol.lower_bound is None
+
+
+def test_master_starts_at_least_bound(wheel6, monkeypatch):
+    # After the first subproblem fails, every master call deepens from
+    # wheel6's least root bound (2 free doubles, the optimum's count).
+    starts, master = [], mp1_solve
+    monkeypatch.setattr(
+        naive_decomp, "mp1_solve", lambda *a: starts.append(a[4]) or master(*a)
+    )
+    sol = solve_naive(wheel6)
+    assert sol.status == "OPTIMAL" and sol.objective == sol.lower_bound == 3
+    assert starts[0] == 0 and set(starts[1:]) == {2}
+
+
+def test_timeout_lower_bound(g6a):
+    # Before the bound pass only the first pattern's count is proved.
+    sol = solve_naive(g6a, time_limit=0.0)
+    assert sol.lower_bound == 1 <= sol.objective
 
 
 def test_trace_records_cuts(g6a):

@@ -1,6 +1,7 @@
 """Order validation, double/node accounting, and greedy construction."""
 
 import itertools
+from math import inf
 
 import hypothesis.strategies as st
 import pytest
@@ -19,6 +20,7 @@ from ddvop.order import (
     greedy_from_clique,
     greedy_roots,
     parse_solution,
+    root_bound,
 )
 from ddvop.oracle import enumerate_valid_orders
 from ddvop.solution import Deadline
@@ -180,6 +182,76 @@ def test_greedy_polls_deadline_per_completion(monkeypatch):
     assert len(greedy_roots(inst, Deadline(None))[1]) == 11
 
 
+def root_optimum(inst, members):
+    """Reference: fewest doubles past rank K over the valid orders that
+    start with `members`, or inf when there is none (DP over placed masks)."""
+    full = (1 << inst.n) - 1
+    memo = {full: 0}
+
+    def rest(mask):
+        if mask not in memo:
+            best = inf
+            for v in range(inst.n):
+                if not mask >> v & 1:
+                    pred = (inst.adj_bits[v] & mask).bit_count()
+                    if pred >= inst.K:
+                        best = min(best, (pred == inst.K) + rest(mask | 1 << v))
+            memo[mask] = best
+        return memo[mask]
+
+    return rest(sum(1 << v for v in members))
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_instances())
+def test_root_bound_below_root_optimum(inst):
+    # On every root: a lower bound; infinite exactly when the root cannot
+    # be completed (the relaxation decides feasibility), and 0 exactly
+    # when the closure of the root alone completes it.
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        bound, best = root_bound(inst, clique), root_optimum(inst, clique.members)
+        assert bound <= best
+        assert (bound == inf) == (best == inf)
+        assert (bound == 0) == (best == 0)
+
+
+@pytest.mark.parametrize(
+    "fixture,members,bound",
+    [
+        ("g6a", (0, 1, 2), 1),
+        ("wheel6", (0, 1, 2), 2),
+        ("k5", (0, 1, 2), 0),
+        ("g6a_k3", (0, 1, 2, 3), inf),
+        # A path stalls at both ends at once, so the bound is below the 3
+        # doubles past rank K of every completion.
+        ("p5_k1", (1, 2), 2),
+    ],
+)
+def test_root_bound_examples(fixture, members, bound, request):
+    inst = request.getfixturevalue(fixture)
+    assert root_bound(inst, Clique(members)) == bound
+    assert bound <= root_optimum(inst, members)
+
+
+def test_root_bound_polls_deadline_per_pass():
+    # Polled before the plain pass and before each lookahead pass: one
+    # that expires at its second poll stops the bound after one pass.
+    inst = Instance.build(400, 1, [(i, i + 1) for i in range(399)])
+    polls = []
+
+    class SecondPoll:
+        def expired(self):
+            polls.append(None)
+            return len(polls) > 1
+
+    with pytest.raises(TimeoutError):
+        root_bound(inst, Clique((199, 200)), SecondPoll())
+    assert len(polls) == 2
+    with pytest.raises(TimeoutError):
+        root_bound(inst, Clique((199, 200)), Deadline(0.0))
+    assert root_bound(inst, Clique((199, 200)), Deadline(None)) == 200
+
+
 def test_format_and_parse_solution(g6a):
     order = VertexOrder((3, 5, 2, 1, 0, 4))
     report = check_order(g6a, order)
@@ -196,6 +268,16 @@ def test_format_solution_without_order():
     assert text == "s INFEASIBLE - -\n"
     status, order, pattern = parse_solution(text)
     assert status == "INFEASIBLE" and order is None and pattern is None
+
+
+@pytest.mark.parametrize("status,with_order", [("OPTIMAL", True), ("TIMEOUT", False)])
+def test_lower_bound_line_round_trip(status, with_order, g6a):
+    order = VertexOrder((3, 5, 2, 1, 0, 4)) if with_order else None
+    report = check_order(g6a, order) if with_order else None
+    text = format_solution(status, order, report, lower_bound=2)
+    assert text.splitlines()[-1] == "c lower_bound 2"
+    assert text.startswith(format_solution(status, order, report))
+    assert parse_solution(text) == parse_solution(format_solution(status, order, report))
 
 
 def test_format_solution_errors(g6a):

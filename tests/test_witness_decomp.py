@@ -14,7 +14,7 @@ from ddvop.graph import Instance, enumerate_cliques
 from ddvop.instgen import gen_random, gen_synthetic
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
-from ddvop.order import VertexOrder, check_order, greedy_dvop, greedy_roots
+from ddvop.order import VertexOrder, check_order, greedy_dvop, greedy_roots, root_bound
 from ddvop.witness_decomp import (
     WitnessState,
     WitnessTrace,
@@ -211,20 +211,29 @@ def test_master_alone_is_exact(args, pool):
 
 @pytest.fixture
 def separating():
-    """An instance whose master separates cycle cuts past the 2-cycle
-    seeds (two), over 24 root cliques."""
+    """An instance whose master, with no root bounds, separates cycle cuts
+    past the 2-cycle seeds (two), over 24 root cliques.  The root bounds
+    skip every root, so solve_witness separates none."""
     return gen_synthetic(3, 2, 0.1, 9, 11)
 
 
-def test_trace_hooks(separating):
+@pytest.fixture
+def cutting():
+    """An acceptance instance whose master separates cycle cuts past the
+    2-cycle seeds with every root bound on; its greedy order (5 doubles)
+    is optimal."""
+    return gen_random(10, 0.5, 3, 123)
+
+
+def test_trace_hooks(cutting):
     trace = WitnessTrace()
-    sol = solve_witness(separating, trace=trace)
-    assert sol.status == "OPTIMAL" and sol.objective == 2
+    sol = solve_witness(cutting, trace=trace)
+    assert sol.status == "OPTIMAL" and sol.objective == 5
     assert sol.stats.iterations == 1 and sol.stats.cuts >= 1
     assert len(trace.cuts) == sol.stats.cuts
     assert len(trace.accepted) == 1
     state, order = trace.accepted[0]
-    assert ef_validate(separating, state, order)
+    assert ef_validate(cutting, state, order)
     for cut, cut_state in trace.cuts:
         assert not cut.satisfied_by(cut_state)
 
@@ -294,10 +303,11 @@ def test_greedy_order_proved_optimal(fixture, request):
     assert ef_validate(inst, *trace.accepted[0])
 
 
-@pytest.mark.parametrize("density,seed,status", [(0.6, 11, "OPTIMAL"), (0.4, 10, "TIMEOUT")])
+@pytest.mark.parametrize("density,seed,status", [(0.6, 11, "OPTIMAL"), (0.3, 10, "TIMEOUT")])
 def test_dense_solve_keeps_time_limit(density, seed, status):
     # The master polls the deadline at every node.  At d = 0.6 the greedy
-    # order has the one double every order has, so no search runs.
+    # order has the one double every order has, so no search runs.  At
+    # d = 0.3 the master still runs for more than 4 s.
     inst = gen_random(28, density, 3, seed)
     _, report = greedy_dvop(inst)
     t0 = time.monotonic()
@@ -347,6 +357,42 @@ def test_path_timeout_keeps_time_limit(route):
     assert time.monotonic() - t0 < 0.75
     assert_timeout_incumbent(inst, sol)
     assert sol.objective == 399
+
+
+@pytest.mark.parametrize("route", [solve_witness, solve_naive])
+def test_path_bound_pass_keeps_time_limit(route):
+    # The bound pass over the path's 399 roots (naive's after its first
+    # subproblem fails) is O(n + m) per pass, so it ends inside the limit:
+    # the middle roots bound the 398 doubles past rank K by 200.
+    inst = Instance.build(400, 1, [(i, i + 1) for i in range(399)])
+    t0 = time.monotonic()
+    sol = route(inst, time_limit=0.5)
+    assert time.monotonic() - t0 < 0.75
+    assert_timeout_incumbent(inst, sol)
+    assert sol.lower_bound == 201
+
+
+def test_root_bounds_skip_every_root(separating):
+    # Every root's bound reaches the greedy cutoff, so the master visits
+    # each root and searches none, yet still counts as one iteration.
+    _, roots = greedy_roots(separating)
+    assert min(root_bound(separating, c) for c in roots) + 1 == 2
+    sol = solve_witness(separating)
+    assert sol.status == "OPTIMAL" and sol.objective == sol.lower_bound == 2
+    assert sol.stats.iterations == 1 and sol.stats.cliques_considered == 24
+    assert sol.stats.choice_points == 0 and sol.stats.cuts == 0
+
+
+def test_timeout_lower_bound():
+    # The master runs out of time, so the bound pass over all roots gives
+    # the lower bound; a deadline spent before that pass leaves only 1.
+    inst = gen_random(28, 0.3, 3, 10)
+    _, roots = greedy_roots(inst)
+    sol = solve_witness(inst, time_limit=0.4)
+    assert_timeout_incumbent(inst, sol)
+    assert sol.lower_bound == 1 + min(root_bound(inst, c) for c in roots)
+    assert 1 < sol.lower_bound < sol.objective
+    assert solve_witness(inst, time_limit=0.0).lower_bound == 1
 
 
 @pytest.mark.parametrize(

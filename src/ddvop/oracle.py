@@ -11,20 +11,22 @@ Two independent routes over the same search space:
   minimum remaining tree size scales as g(S) = min_v 2^c(S,v) * (1 + g(S+v)),
   because one extra double so far doubles every later level width.
 
-The subset DP also yields exact order counts, the full image of
-(total_nodes, double_count) over valid orders, and the Pareto front of the
-two objectives.  Everything is capped at a configurable vertex count
-(DEFAULT_CAP), and no cap, however large, admits more than MAX_CAP vertices:
-the subset tables hold all 2^n masks, so the refusal comes before any of
-them is allocated.  These routines are ground truth for the real solvers,
-not solvers themselves.
+The DP visits only valid prefix sets: the empty set, then layer by layer
+each extension by an admissible vertex, so its tables hold one entry per
+set that some valid order places first, never all 2^n masks.  It also
+yields exact order counts, the full image of (total_nodes, double_count)
+over valid orders, and the Pareto front of the two objectives.  Everything
+is capped at a configurable vertex count (DEFAULT_CAP), and no cap, however
+large, admits more than MAX_CAP vertices; the refusal comes before any set
+is enumerated.  These routines are ground truth for the real solvers, not
+solvers themselves.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .graph import Instance
@@ -32,7 +34,7 @@ from .order import OrderReport, VertexOrder, check_order
 
 DEFAULT_CAP = 12
 
-# Hard ceiling on any cap: 2^20 masks per subset table.
+# Hard ceiling on any cap: up to 2^20 valid prefix sets, on a complete graph.
 MAX_CAP = 20
 
 
@@ -44,15 +46,6 @@ def _check_cap(inst: Instance, cap: int) -> None:
     limit = min(cap, MAX_CAP)
     if inst.n > limit:
         raise CapExceededError(f"oracle capped at n <= {limit}, got n = {inst.n}")
-
-
-def _sweep(n: int) -> list[int]:
-    """Every mask but the full one, in decreasing popcount order.
-
-    Each mask comes after all of its one-vertex extensions, so a subset DP
-    filled in this order finds its successors done.
-    """
-    return sorted(range((1 << n) - 1), key=int.bit_count, reverse=True)
 
 
 def _admissible(inst: Instance, mask: int, count: int, v: int) -> bool:
@@ -68,39 +61,71 @@ def _cost(inst: Instance, mask: int, count: int, v: int) -> int:
     return 1 if (inst.adj_bits[v] & mask).bit_count() == inst.K else 0
 
 
+def _extensions(inst: Instance, mask: int, count: int) -> Iterator[int]:
+    """Admissible unplaced vertices of a placed set, in increasing order."""
+    free = ~mask & ((1 << inst.n) - 1)
+    while free:
+        low = free & -free
+        v = low.bit_length() - 1
+        if _admissible(inst, mask, count, v):
+            yield v
+        free ^= low
+
+
+def _layers(inst: Instance) -> list[list[int]]:
+    """Valid prefix sets by size, each layer sorted.
+
+    layers[r] holds every r-vertex set that some valid order places first,
+    dead ends included; layers[n] is [full] exactly when a valid order exists.
+    """
+    layers = [[0]]
+    for count in range(inst.n):
+        layers.append(sorted({
+            mask | 1 << v for mask in layers[-1] for v in _extensions(inst, mask, count)
+        }))
+    return layers
+
+
+def _backward(
+    inst: Instance, layers: list[list[int]], leaf: object, node: Callable
+) -> list[list]:
+    """Values per layer, parallel to layers, from the full set back to {}.
+
+    node receives a set's extensions as (double cost, successor value) pairs
+    and folds them into the set's own value; a dead end gets node([]).
+    """
+    values = [[leaf] * len(layers[inst.n])]
+    for count in range(inst.n - 1, -1, -1):
+        succ, vals = layers[count + 1], values[-1]
+        values.append([
+            node([
+                (_cost(inst, mask, count, v), vals[bisect_left(succ, mask | 1 << v)])
+                for v in _extensions(inst, mask, count)
+            ])
+            for mask in layers[count]
+        ])
+    values.reverse()
+    return values
+
+
 def enumerate_valid_orders(
     inst: Instance, cap: int = DEFAULT_CAP
 ) -> tuple[int, Iterator[VertexOrder]]:
-    """Exact count (via the subset DP) plus a lazy lexicographic iterator."""
+    """Exact order count over the prefix layers plus a lazy lexicographic iterator."""
     _check_cap(inst, cap)
-    full = (1 << inst.n) - 1
-
-    @lru_cache(maxsize=None)
-    def ways(mask: int) -> int:
-        if mask == full:
-            return 1
-        count = mask.bit_count()
-        return sum(
-            ways(mask | (1 << v))
-            for v in range(inst.n)
-            if not mask >> v & 1 and _admissible(inst, mask, count, v)
-        )
-
-    total = ways(0)
+    total = _backward(inst, _layers(inst), 1, lambda ext: sum(w for _, w in ext))[0][0]
 
     def walk() -> Iterator[VertexOrder]:
         prefix: list[int] = []
 
         def rec(mask: int) -> Iterator[VertexOrder]:
-            if mask == full:
+            if len(prefix) == inst.n:
                 yield VertexOrder(tuple(prefix))
                 return
-            count = mask.bit_count()
-            for v in range(inst.n):
-                if not mask >> v & 1 and _admissible(inst, mask, count, v):
-                    prefix.append(v)
-                    yield from rec(mask | (1 << v))
-                    prefix.pop()
+            for v in _extensions(inst, mask, len(prefix)):
+                prefix.append(v)
+                yield from rec(mask | (1 << v))
+                prefix.pop()
 
         yield from rec(0)
 
@@ -114,49 +139,22 @@ class OracleResult:
     report: OrderReport
 
 
-def _dp_table(inst: Instance, step: Callable[[int, float], float]) -> list[float]:
-    """Remaining-cost table over placed-vertex masks.
-
-    step(c, future) combines one placement of double-cost c with the optimal
-    remaining cost; infeasible masks get math.inf.
-    """
-    full = (1 << inst.n) - 1
-    table = [math.inf] * (full + 1)
-    table[full] = 0.0
-    # Only reachable masks matter, but filling all of them is cheap at
-    # oracle sizes.
-    for mask in _sweep(inst.n):
-        count = mask.bit_count()
-        best = math.inf
-        for v in range(inst.n):
-            if mask >> v & 1 or not _admissible(inst, mask, count, v):
-                continue
-            future = table[mask | (1 << v)]
-            if future == math.inf:
-                continue
-            cand = step(_cost(inst, mask, count, v), future)
-            if cand < best:
-                best = cand
-        table[mask] = best
-    return table
-
-
 def _walk_optimal(
-    inst: Instance, table: list[float], step: Callable[[int, float], float]
+    inst: Instance,
+    layers: list[list[int]],
+    values: list[list[float]],
+    step: Callable[[int, float], float],
 ) -> VertexOrder:
-    """Lexicographically first order attaining table[0]."""
-    full = (1 << inst.n) - 1
-    mask = 0
+    """Lexicographically first order attaining the empty set's value."""
+    mask, target = 0, values[0][0]
     perm: list[int] = []
-    while mask != full:
-        count = mask.bit_count()
-        for v in range(inst.n):
-            if mask >> v & 1 or not _admissible(inst, mask, count, v):
-                continue
-            future = table[mask | (1 << v)]
-            if future < math.inf and step(_cost(inst, mask, count, v), future) == table[mask]:
+    for count in range(inst.n):
+        succ, vals = layers[count + 1], values[count + 1]
+        for v in _extensions(inst, mask, count):
+            future = vals[bisect_left(succ, mask | 1 << v)]
+            if step(_cost(inst, mask, count, v), future) == target:
                 perm.append(v)
-                mask |= 1 << v
+                mask, target = mask | 1 << v, future
                 break
         else:
             raise AssertionError("optimal walk lost the table value")
@@ -177,13 +175,19 @@ def brute_optimum(
     """Exact optimum and a lexicographically first optimal order, or None."""
     _check_cap(inst, cap)
     step = _step_for(objective)
-    table = _dp_table(inst, step)
-    if table[0] == math.inf:
+
+    def best(ext: list[tuple[int, float]]) -> float:
+        # A dead end gets math.inf, which every step keeps infinite.
+        return min((step(c, f) for c, f in ext), default=math.inf)
+
+    layers = _layers(inst)
+    values = _backward(inst, layers, 0.0, best)
+    if values[0][0] == math.inf:
         return None
-    order = _walk_optimal(inst, table, step)
+    order = _walk_optimal(inst, layers, values, step)
     report = check_order(inst, order)
     assert report.is_dvop
-    value = int(table[0])
+    value = int(values[0][0])
     attained = report.double_count if objective == "min-double" else report.total_nodes
     assert attained == value
     return OracleResult(value=value, order=order, report=report)
@@ -198,25 +202,19 @@ class ParetoPoint:
 def objective_image(inst: Instance, cap: int = DEFAULT_CAP) -> set[ParetoPoint]:
     """All (total_nodes, double_count) pairs attained by valid orders.
 
-    Pair sets propagate through the subset DP with the same 2^c scaling as
-    the min-nodes recursion.
+    Pair sets propagate back over the prefix layers with the same 2^c
+    scaling as the min-nodes recursion.
     """
     _check_cap(inst, cap)
-    full = (1 << inst.n) - 1
-    pairs: dict[int, frozenset[tuple[int, int]]] = {full: frozenset({(0, 0)})}
-    for mask in _sweep(inst.n):
-        count = mask.bit_count()
-        acc: set[tuple[int, int]] = set()
-        for v in range(inst.n):
-            if mask >> v & 1 or not _admissible(inst, mask, count, v):
-                continue
-            succ = pairs.get(mask | (1 << v))
-            if not succ:
-                continue
-            c = _cost(inst, mask, count, v)
-            acc.update(((2 ** c) * (1 + t), c + d) for t, d in succ)
-        pairs[mask] = frozenset(acc)
-    return {ParetoPoint(t, d) for t, d in pairs[0]}
+    values = _backward(
+        inst,
+        _layers(inst),
+        frozenset({(0, 0)}),
+        lambda ext: frozenset(
+            {((2 ** c) * (1 + t), c + d) for c, succ in ext for t, d in succ}
+        ),
+    )
+    return {ParetoPoint(t, d) for t, d in values[0][0]}
 
 
 def pareto_front(image: set[ParetoPoint]) -> list[ParetoPoint]:

@@ -28,7 +28,7 @@ from ddvop.modelgen import (
     formulation_sizes,
     verify_counts,
 )
-from ddvop.oracle import brute_optimum
+from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import VertexOrder, check_order
 
 
@@ -226,3 +226,49 @@ def test_export_counts_and_substitution(inst, model):
     assert ok, violations[:5]
     if model != "minnodes":
         assert obj == res.value
+
+
+def _holds(con, ones):
+    lhs = sum(c for c, v in con.terms if v in ones)
+    if con.sense == "<=":
+        return lhs <= con.rhs
+    return lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs
+
+
+@pytest.mark.parametrize("fixture", ["g6a", "g6b", "g6a_k3"])
+def test_ip_export_admits_exactly_the_valid_orders(fixture, request):
+    # Over every permutation: the assign and pred rows, which read only x,
+    # hold exactly for the valid orders, and the least y and z satisfying
+    # every other row cost that order's doubles. So the ip optimum is the
+    # min-double optimum, with no MIP solver.
+    inst = request.getfixturevalue(fixture)
+    prog = parse_lp(export(inst, "ip")[0])
+    x_rows = [c for c in prog.constraints if c.name.startswith(("assign_", "pred_"))]
+    wit_rows = [c for c in prog.constraints if c.name.startswith("wit_")]
+    y_rows = {}
+    for con in prog.constraints:
+        ys = [v for _, v in con.terms if v.startswith("y_")]
+        assert len(ys) <= 1
+        if ys:
+            y_rows.setdefault(ys[0], []).append(con)
+    assert set(y_rows) == {f"y_{r}" for r in range(inst.n)}
+    valid = 0
+    for perm in itertools.permutations(range(inst.n)):
+        ones = {f"x_{v}_{r}" for r, v in enumerate(perm)}
+        report = check_order(inst, VertexOrder(perm))
+        assert all(_holds(c, ones) for c in x_rows) == report.is_dvop
+        if not report.is_dvop:
+            continue
+        valid += 1
+        # z only loosens dbl rows, so each z is 1 whenever its wit row allows.
+        for con in wit_rows:
+            z = con.terms[-1][1]
+            if _holds(con, ones | {z}):
+                ones.add(z)
+        for y, rows in y_rows.items():
+            if not all(_holds(c, ones) for c in rows):
+                ones.add(y)
+        ok, obj, violations = evaluate(prog, dict.fromkeys(ones, 1))
+        assert ok, violations[:5]
+        assert obj == report.double_count
+    assert valid == enumerate_valid_orders(inst)[0]

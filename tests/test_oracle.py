@@ -5,17 +5,21 @@ double-checked against a plain permutation sweep before being frozen.
 """
 
 import itertools
+from math import inf
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import path_edges, small_instances
+from conftest import G6A_EDGES, path_edges, small_instances
 from ddvop.graph import Instance
+from ddvop.instgen import acceptance_corpus
 from ddvop.oracle import (
     MAX_CAP,
     CapExceededError,
     ParetoPoint,
+    _admissible,
+    _cost,
     brute_optimum,
     simultaneous_optimum_probe,
     enumerate_valid_orders,
@@ -113,8 +117,8 @@ def test_cap_guard(g6a):
 
 
 def test_cap_ceiling():
-    # A cap above the ceiling does not lift it: 2^(MAX_CAP + 1) masks would
-    # be allocated otherwise.
+    # A cap above the ceiling does not lift it: a path has few valid prefix
+    # sets, so the refusal must come from the vertex count alone.
     path = Instance.build(MAX_CAP + 1, 1, path_edges(MAX_CAP + 1))
     with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
         brute_optimum(path, cap=40)
@@ -183,3 +187,75 @@ def test_pareto_front_properties(inst):
             q.nodes_obj <= p.nodes_obj and q.doubles_obj <= p.doubles_obj
             for q in front
         )
+
+
+STEPS = {
+    "min-double": lambda c, future: c + future,
+    "min-nodes": lambda c, future: 2 ** c * (1 + future),
+}
+
+
+def sweep_reference(inst):
+    """The full subset DP over all 2^n masks that the layered oracle replaced.
+
+    Fills every mask after all of its one-vertex extensions (decreasing
+    popcount) and returns the order count, the (nodes, doubles) image and,
+    per objective, the optimum with its lexicographically first order, or
+    None when no valid order exists.
+    """
+    full = (1 << inst.n) - 1
+
+    def moves(mask):
+        count = mask.bit_count()
+        return [
+            (v, _cost(inst, mask, count, v))
+            for v in range(inst.n)
+            if not mask >> v & 1 and _admissible(inst, mask, count, v)
+        ]
+
+    ways, pairs = {full: 1}, {full: {(0, 0)}}
+    tables = {objective: {full: 0} for objective in STEPS}
+    for mask in sorted(range(full), key=int.bit_count, reverse=True):
+        succ = [(mask | 1 << v, c) for v, c in moves(mask)]
+        ways[mask] = sum(ways[s] for s, _ in succ)
+        pairs[mask] = {(2 ** c * (1 + t), c + d) for s, c in succ for t, d in pairs[s]}
+        for objective, table in tables.items():
+            step = STEPS[objective]
+            table[mask] = min((step(c, table[s]) for s, c in succ), default=inf)
+    optima = {}
+    for objective, table in tables.items():
+        optima[objective] = None
+        if table[0] == inf:
+            continue
+        mask, perm = 0, []
+        while mask != full:
+            v = next(
+                v for v, c in moves(mask)
+                if STEPS[objective](c, table[mask | 1 << v]) == table[mask]
+            )
+            perm.append(v)
+            mask |= 1 << v
+        optima[objective] = (table[0], tuple(perm))
+    return ways[0], pairs[0], optima
+
+
+def assert_matches_sweep_reference(inst):
+    count, image, optima = sweep_reference(inst)
+    assert enumerate_valid_orders(inst)[0] == count
+    assert as_pairs(objective_image(inst)) == image
+    for objective, want in optima.items():
+        got = brute_optimum(inst, objective)
+        assert (got and (got.value, got.order.perm)) == want
+
+
+def test_layers_match_sweep_on_acceptance_corpus():
+    # 42 of the 70 instances are infeasible.
+    for inst in acceptance_corpus():
+        assert_matches_sweep_reference(inst)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances(max_n=10))
+@example(Instance.build(6, 3, G6A_EDGES))  # infeasible
+def test_layers_match_sweep_reference(inst):
+    assert_matches_sweep_reference(inst)

@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--unordered-cliques", action="store_true",
-                   help="one rank labeling per clique instead of all K!")
+                   help="one rank labeling per clique instead of all K! "
+                   "(cycles, ranks and ccg only)")
 
     p = _command(sub, "bench", "instance x method grid to CSV")
     p.add_argument("instances", nargs="+", help="instance files")

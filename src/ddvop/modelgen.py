@@ -34,11 +34,13 @@ from .order import DoublePattern, VertexOrder, check_order
 from .witness_decomp import induce_witness_state
 
 MODELS = ("ip", "minnodes", "cycles", "ranks", "mp2", "ccg")
+CLIQUE_MODELS = ("cycles", "ranks", "ccg")  # the models that read unordered_cliques
 
-# Measured, `export --model ip` on random graphs of density 0.5 (Python
-# 3.11): n = 30 wrote 0.39 M coefficients and peaked at 84 MB rss, n = 38
-# 0.99 M at 184 MB, n = 40 1.2 M at 221 MB.  So ip stops between n = 38
-# and 39, and a refused export (n = 45 or 100) peaks at 149 MB.
+# Measured, `export --model ip` on gen_random(n, 0.5, 3, 1) (Python 3.11,
+# 20 MB rss before the export): n = 30 wrote 0.39 M coefficients and
+# peaked at 37 MB rss, n = 38 0.99 M at 65 MB, n = 40 (ceiling lifted)
+# 1.2 M at 75 MB.  So ip stops between n = 38 and 39, and a refused export
+# (n = 45 or 100) peaks at 36 MB.
 MAX_NONZEROS = 1_000_000
 
 Term = tuple[int, str]
@@ -52,7 +54,10 @@ class _Lp:
     """Accumulates one LP model and renders deterministic text.
 
     Every variable and constraint is added under a family name, and the
-    per-family tallies are the raw counts a ModelSummary reports.
+    per-family tallies are the raw counts a ModelSummary reports.  Rows,
+    the objective and the variable lists wrap at 78 columns: a line takes
+    its first part whatever its length, then every next part that fits,
+    and continuation lines are indented six spaces.
     """
 
     def __init__(self, comments: Sequence[str]):
@@ -69,15 +74,16 @@ class _Lp:
         self.warning = ""
 
     def constraint(
-        self, family: str, name: str, terms: Sequence[Term], sense: str, rhs: int
+        self, family: str, name: str, terms: list[Term], sense: str, rhs: int
     ) -> None:
+        """Store a row.  terms is kept, not copied: callers never change it after."""
         assert sense in ("<=", ">=", "=")
         self.nonzeros += len(terms)
         if self.nonzeros > MAX_NONZEROS:
             raise ModelTooLargeError(
                 f"the model passes the export ceiling of {MAX_NONZEROS} nonzeros"
             )
-        self.cons.append((name, list(terms), sense, rhs))
+        self.cons.append((name, terms, sense, rhs))
         self.con_counts[family] += 1
 
     def declare(self, family: str, names: Sequence[str], general: bool = False) -> None:
@@ -87,37 +93,38 @@ class _Lp:
 
     @staticmethod
     def _expr(terms: Sequence[Term], const: int = 0) -> list[str]:
-        parts: list[str] = []
-        for coef, var in terms:
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            body = var if mag == 1 else f"{mag} {var}"
-            if not parts and coef > 0:
-                parts.append(body)
-            else:
-                parts.append(("+ " if coef > 0 else "- ") + body)
-        if const != 0 or not parts:
-            mag = abs(const)
-            if not parts:
-                parts.append(str(const))
-            else:
-                parts.append(("+ " if const >= 0 else "- ") + str(mag))
+        parts = [
+            "+ " + var if coef == 1
+            else "- " + var if coef == -1
+            else f"{'+' if coef > 0 else '-'} {abs(coef)} {var}"
+            for coef, var in terms
+            if coef
+        ]
+        if parts and parts[0][0] == "+":
+            parts[0] = parts[0][2:]
+        if not parts:
+            parts.append(str(const))
+        elif const:
+            parts.append(("+ " if const > 0 else "- ") + str(abs(const)))
         return parts
 
     @staticmethod
     def _wrap(head: str, parts: list[str], tail: str = "") -> list[str]:
-        lines = []
-        cur = head
-        for p in parts:
-            if len(cur) + len(p) + 1 > 78 and cur != head:
-                lines.append(cur)
-                cur = "      " + p
-            else:
-                cur = cur + " " + p
-        if tail:
-            cur = cur + " " + tail
-        lines.append(cur)
+        # Parts are joined with NUL, which no part contains, so each break is
+        # one rfind for the last separator within the line's budget.
+        text = "\0".join(parts)
+        lines: list[str] = []
+        lead, start, budget = head, 0, 77 - len(head)
+        while len(text) - start > budget:
+            cut = text.rfind("\0", start, start + budget + 1)
+            if cut < 0:
+                cut = text.find("\0", start)
+                if cut < 0:
+                    break
+            lines.append(f"{lead} {text[start:cut]}".replace("\0", " "))
+            lead, start, budget = "     ", cut + 1, 72
+        last = f"{lead} {text[start:]}".replace("\0", " ") if parts else head
+        lines.append(f"{last} {tail}" if tail else last)
         return lines
 
     def render(self) -> str:
@@ -217,35 +224,39 @@ def _export_ip(inst: Instance, with_nodes: bool) -> _Lp:
         lp.obj_terms = [(1, f"m_{r}") for r in range(n)]
     else:
         lp.obj_terms = [(1, f"y_{r}") for r in range(n)]
+    # xt[v][r] is the one (1, "x_v_r") term every row shares.
+    xt = [[(1, f"x_{v}_{r}") for r in range(n)] for v in range(n)]
     for v in range(n):
-        row = [(1, f"x_{v}_{r}") for r in range(n)]
-        lp.constraint("1-1 assignment", f"assign_v{v}", row, "=", 1)
+        lp.constraint("1-1 assignment", f"assign_v{v}", xt[v], "=", 1)
     for r in range(n):
-        col = [(1, f"x_{v}_{r}") for v in range(n)]
+        col = [xt[v][r] for v in range(n)]
         lp.constraint("1-1 assignment", f"assign_r{r}", col, "=", 1)
+    # earlier[v, r]: the x-terms of v's neighbours at ranks below r, built
+    # for the pred row of (v, r) and kept for its wit row.
+    earlier: dict[tuple[int, int], list[Term]] = {}
     for v in range(n):
+        nbrs = sorted(inst.neighbors[v])
         for r in range(1, n):
             # Rank r needs r adjacent predecessors inside the clique
             # prefix, K afterwards.
             need = r if r <= K else K
-            terms: list[Term] = [
-                (1, f"x_{u}_{j}") for u in sorted(inst.neighbors[v]) for j in range(r)
-            ]
-            terms.append((-need, f"x_{v}_{r}"))
+            earlier[v, r] = xs = []
+            for u in nbrs:
+                xs += xt[u][:r]
+            terms = xs + [(-need, xt[v][r][1])]
             lp.constraint("clique", f"pred_v{v}_r{r}", terms, ">=", 0)
     for r in range(K):
         lp.constraint("fixing", f"fix_y{r}", [(1, f"y_{r}")], "=", 0)
     lp.constraint("fixing", f"fix_y{K}", [(1, f"y_{K}")], "=", 1)
     for v in range(n):
         for r in range(K, n):
-            terms = [
-                (1, f"x_{u}_{j}") for u in sorted(inst.neighbors[v]) for j in range(r)
-            ]
-            terms.append((-(K + 1), f"z_{v}_{r}"))
+            z = f"z_{v}_{r}"
+            terms = earlier[v, r]
+            terms.append((-(K + 1), z))
             lp.constraint("linking", f"wit_v{v}_r{r}", terms, ">=", 0)
-            terms = [(1, f"x_{v}_{r}"), (-1, f"y_{r}"), (-1, f"z_{v}_{r}")]
+            terms = [xt[v][r], (-1, f"y_{r}"), (-1, z)]
             lp.constraint("linking", f"dbl_v{v}_r{r}", terms, "<=", 0)
-    lp.declare("x", [f"x_{v}_{r}" for v in range(n) for r in range(n)])
+    lp.declare("x", [x for row in xt for _, x in row])
     lp.declare("y", [f"y_{r}" for r in range(n)])
     lp.declare("z", [f"z_{v}_{r}" for v in range(n) for r in range(K, n)])
     if with_nodes:
@@ -264,7 +275,7 @@ def _export_ip(inst: Instance, with_nodes: bool) -> _Lp:
 
 
 def _linking_rows(
-    lp: _Lp, inst: Instance, cliques: list[tuple[int, ...]]
+    lp: _Lp, inst: Instance, cliques: list[tuple[int, ...]], pt: list[list[Term]]
 ) -> None:
     """Adjacent-predecessor requirement with the clique-rank correction.
 
@@ -274,11 +285,13 @@ def _linking_rows(
     forces y to 1 across the chosen clique.
     """
     n, K = inst.n, inst.K
+    kappas: list[list[Term]] = [[] for _ in range(n)]
+    for c in cliques:
+        name = _kappa_name(c)
+        for rank, v in enumerate(c):
+            kappas[v].append((K - rank, name))
     for i in range(n):
-        terms: list[Term] = [(1, f"p_{j}_{i}") for j in sorted(inst.neighbors[i])]
-        for c in cliques:
-            if i in c:
-                terms.append((K - (c.index(i) + 1) + 1, _kappa_name(c)))
+        terms = [pt[j][i] for j in sorted(inst.neighbors[i])] + kappas[i]
         terms.append((1, f"y_{i}"))
         lp.constraint("linking", f"link_v{i}", terms, ">=", K + 1)
 
@@ -293,18 +306,19 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
     lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
     lp.obj_const = -K
     edge_pairs = inst.sorted_edges()
+    # pt[i][j] is the one (1, "p_i_j") term every row shares.
+    pt = [[(1, f"p_{i}_{j}") for j in range(n)] for i in range(n)]
     family = "linear ordering"
     if model == "cycles":
-        p_names = [f"p_{i}_{j}" for i in range(n) for j in range(n) if i != j]
+        p_names = [pt[i][j][1] for i in range(n) for j in range(n) if i != j]
         for i, j in itertools.combinations(range(n), 2):
-            terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
-            lp.constraint(family, f"pair_{i}_{j}", terms, "=", 1)
+            lp.constraint(family, f"pair_{i}_{j}", [pt[i][j], pt[j][i]], "=", 1)
         for i, j in edge_pairs:
             for k in range(n):
                 if k == i or k == j:
                     continue
                 for a, b in ((i, j), (j, i)):
-                    terms = [(1, f"p_{a}_{b}"), (1, f"p_{b}_{k}"), (1, f"p_{k}_{a}")]
+                    terms = [pt[a][b], pt[b][k], pt[k][a]]
                     lp.constraint(family, f"tri_{a}_{b}_{k}", terms, "<=", 2)
     else:
         p_names = [f"p_{i}_{j}" for i, j in edge_pairs] + [
@@ -320,16 +334,15 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
             triangles = enumerate_cliques(inst, 3)
             family = "cycle breaking cuts"
             for i, j in edge_pairs:
-                terms = [(1, f"p_{i}_{j}"), (1, f"p_{j}_{i}")]
-                lp.constraint(family, f"cyc2_{i}_{j}", terms, "<=", 1)
+                lp.constraint(family, f"cyc2_{i}_{j}", [pt[i][j], pt[j][i]], "<=", 1)
             for t in triangles:
                 a, b, c = t.members
                 for x, y in ((b, c), (c, b)):
-                    terms = [(1, f"p_{a}_{x}"), (1, f"p_{x}_{y}"), (1, f"p_{y}_{a}")]
+                    terms = [pt[a][x], pt[x][y], pt[y][a]]
                     lp.constraint(family, f"cyc3_{a}_{x}_{y}", terms, "<=", 2)
     terms = [(1, _kappa_name(c)) for c in cliques]
     lp.constraint("clique selection", "pick_clique", terms, "=", 1)
-    _linking_rows(lp, inst, cliques)
+    _linking_rows(lp, inst, cliques, pt)
     lp.declare("y", [f"y_{v}" for v in range(n)])
     lp.declare("kappa", [_kappa_name(c) for c in cliques])
     lp.declare("p", p_names)
@@ -397,6 +410,8 @@ def export(
     model = model.lower()
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
+    if unordered_cliques and model not in CLIQUE_MODELS:
+        raise ValueError(f"unordered cliques apply only to {', '.join(CLIQUE_MODELS)}")
     if model in ("ip", "minnodes"):
         lp = _export_ip(inst, model == "minnodes")
     elif model == "mp2":
@@ -753,7 +768,7 @@ def assignment_from_order(
         for v, u in state.witness_arcs:
             out[f"w_{v}_{u}"] = 1
         return out
-    assert model in ("cycles", "ranks", "ccg")
+    assert model in CLIQUE_MODELS
     for v in range(n):
         out[f"y_{v}"] = 1 if (ranks[v] < K or bits[ranks[v]]) else 0
     if model == "cycles":

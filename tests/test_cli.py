@@ -214,6 +214,15 @@ def test_export_warning(p5_k2_file, capsys):
     assert err.startswith("warning:")
 
 
+def test_export_unordered_cliques_exit_2(g6a_file, tmp_path, capsys):
+    dest = tmp_path / "g6a.lp"
+    argv = ["export", g6a_file, "--model", "ip", "--unordered-cliques", "-o", str(dest)]
+    assert main(argv) == 2
+    _, err = capsys.readouterr()
+    assert "cycles, ranks, ccg" in err
+    assert not dest.exists()
+
+
 def test_export_ceiling_exit_2(g6a_file, tmp_path, monkeypatch, capsys):
     # With the ceiling set to g6a's own ip size the export is written; one
     # coefficient less and it is refused before anything is written.

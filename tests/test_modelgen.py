@@ -17,6 +17,7 @@ import ddvop.modelgen as modelgen
 from conftest import small_instances
 from ddvop.graph import extendable_k_cliques
 from ddvop.modelgen import (
+    CLIQUE_MODELS,
     MODELS,
     assignment_from_order,
     evaluate,
@@ -114,6 +115,14 @@ def test_ip_needs_no_cliques(p5_k2):
 def test_bad_model_name(g6a):
     with pytest.raises(ValueError):
         export(g6a, "lp")
+
+
+@pytest.mark.parametrize("model", sorted(set(MODELS) - set(CLIQUE_MODELS)))
+def test_unordered_cliques_refused_where_unread(g6a, model):
+    # ip, minnodes and mp2 have no per-labeling kappa, so the flag would
+    # change nothing; it is refused rather than ignored.
+    with pytest.raises(ValueError, match="cycles, ranks, ccg"):
+        export(g6a, model, unordered_cliques=True)
 
 
 @pytest.mark.parametrize("fixture", ["g6a", "g6b"])
@@ -228,6 +237,90 @@ def test_export_counts_and_substitution(inst, model):
         assert obj == res.value
 
 
+class ReferenceLp(modelgen._Lp):
+    """_Lp rendering through the per-part expression and wrap loops that
+    the joined-text wrapper replaced."""
+
+    @staticmethod
+    def _expr(terms, const=0):
+        parts = []
+        for coef, var in terms:
+            if coef == 0:
+                continue
+            mag = abs(coef)
+            body = var if mag == 1 else f"{mag} {var}"
+            if not parts and coef > 0:
+                parts.append(body)
+            else:
+                parts.append(("+ " if coef > 0 else "- ") + body)
+        if const != 0 or not parts:
+            mag = abs(const)
+            if not parts:
+                parts.append(str(const))
+            else:
+                parts.append(("+ " if const >= 0 else "- ") + str(mag))
+        return parts
+
+    @staticmethod
+    def _wrap(head, parts, tail=""):
+        lines = []
+        cur = head
+        for p in parts:
+            if len(cur) + len(p) + 1 > 78 and cur != head:
+                lines.append(cur)
+                cur = "      " + p
+            else:
+                cur = cur + " " + p
+        if tail:
+            cur = cur + " " + tail
+        lines.append(cur)
+        return lines
+
+
+def _export_with_lp(inst, model, unordered):
+    """export's text and the _Lp it rendered."""
+    built = []
+    render = modelgen._Lp.render
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelgen._Lp, "render", lambda lp: built.append(lp) or render(lp))
+        text, _ = export(inst, model, unordered)
+    return text, built[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances(), st.sampled_from(MODELS), st.booleans())
+def test_render_matches_reference(inst, model, unordered):
+    text, lp = _export_with_lp(inst, model, unordered and model in CLIQUE_MODELS)
+    lp.__class__ = ReferenceLp
+    assert text == lp.render()
+
+
+# Lengths drawn uniformly, so parts longer than a line's budget are common.
+_NAMES = st.integers(1, 88).flatmap(lambda k: st.text("xyz_0123", min_size=k, max_size=k))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.text("abc_: 0123456789", max_size=40),
+    st.lists(
+        st.one_of(_NAMES, _NAMES.map("+ ".__add__), _NAMES.map("- ".__add__)),
+        max_size=30,
+    ),
+    st.sampled_from(["", "= 1", "<= 2", ">= -16"]),
+)
+def test_wrap_matches_reference(head, parts, tail):
+    # Parts up to 90 characters, so one can pass a line's whole budget.
+    assert modelgen._Lp._wrap(head, parts, tail) == ReferenceLp._wrap(head, parts, tail)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.sampled_from(["x_0_1", "y_2"]))),
+    st.integers(-40, 40),
+)
+def test_expr_matches_reference(terms, const):
+    assert modelgen._Lp._expr(terms, const) == ReferenceLp._expr(terms, const)
+
+
 def _holds(con, ones):
     lhs = sum(c for c, v in con.terms if v in ones)
     if con.sense == "<=":
@@ -235,14 +328,11 @@ def _holds(con, ones):
     return lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs
 
 
-@pytest.mark.parametrize("fixture", ["g6a", "g6b", "g6a_k3"])
-def test_ip_export_admits_exactly_the_valid_orders(fixture, request):
-    # Over every permutation: the assign and pred rows, which read only x,
-    # hold exactly for the valid orders, and the least y and z satisfying
-    # every other row cost that order's doubles. So the ip optimum is the
-    # min-double optimum, with no MIP solver.
-    inst = request.getfixturevalue(fixture)
-    prog = parse_lp(export(inst, "ip")[0])
+def _least_ip_values(inst, prog):
+    """Over every permutation, assert that the assign and pred rows, which
+    read only x, hold exactly for the valid orders; yield each valid
+    order's report with the set of variables at 1: its x, then the least
+    z and y satisfying every other row that reads them."""
     x_rows = [c for c in prog.constraints if c.name.startswith(("assign_", "pred_"))]
     wit_rows = [c for c in prog.constraints if c.name.startswith("wit_")]
     y_rows = {}
@@ -268,7 +358,46 @@ def test_ip_export_admits_exactly_the_valid_orders(fixture, request):
         for y, rows in y_rows.items():
             if not all(_holds(c, ones) for c in rows):
                 ones.add(y)
+        yield report, ones
+    assert valid == enumerate_valid_orders(inst)[0]
+
+
+@pytest.mark.parametrize("fixture", ["g6a", "g6b", "g6a_k3"])
+def test_ip_export_admits_exactly_the_valid_orders(fixture, request):
+    # The least y cost each valid order its doubles, so the ip optimum is
+    # the min-double optimum, with no MIP solver.
+    inst = request.getfixturevalue(fixture)
+    prog = parse_lp(export(inst, "ip")[0])
+    for report, ones in _least_ip_values(inst, prog):
         ok, obj, violations = evaluate(prog, dict.fromkeys(ones, 1))
         assert ok, violations[:5]
         assert obj == report.double_count
-    assert valid == enumerate_valid_orders(inst)[0]
+
+
+def _least_lead(con, values):
+    """The least value of a row's first variable, of coefficient 1, that
+    the row allows given the values of the others."""
+    (coef, _), *rest = con.terms
+    assert coef == 1 and con.sense in (">=", "=")
+    return con.rhs - sum(c * values.get(v, 0) for c, v in rest)
+
+
+@pytest.mark.parametrize("fixture", ["g6a", "g6b"])
+def test_minnodes_least_levels_cost_the_level_counts(fixture, request):
+    # On top of the least x, y, z of each valid order, every m_r at the
+    # least value its mfix, mmono and mdbl rows allow sums to the order's
+    # level counts, so the minnodes optimum is the least level-count total.
+    inst = request.getfixturevalue(fixture)
+    prog = parse_lp(export(inst, "minnodes")[0])
+    m_rows = {}
+    for con in prog.constraints:
+        if con.name.startswith(("mfix_", "mmono_", "mdbl_")):
+            m_rows.setdefault(con.terms[0][1], []).append(con)
+    assert list(m_rows) == [f"m_{r}" for r in range(inst.n)]
+    for report, ones in _least_ip_values(inst, prog):
+        values = dict.fromkeys(ones, 1)
+        for m, rows in m_rows.items():  # rank order, so m_{r-1} is set
+            values[m] = max(_least_lead(con, values) for con in rows)
+        ok, obj, violations = evaluate(prog, values)
+        assert ok, violations[:5]
+        assert obj == sum(minnodes_level_counts(inst.K, report.doubles.bits))

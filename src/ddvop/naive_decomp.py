@@ -7,6 +7,8 @@ at least K adjacent predecessors where the pattern allows a double and
 at least K+1 where it does not.  When the subproblem fails, a deletion
 filter extracts a minimal set of strict ranks that cannot all stay
 double-free, and the resulting cover cut is returned to the master.
+The subproblem memoizes placed sets proved dead, and the filter's first
+test, of the failed pattern itself, re-proves it from that call's memo.
 The plain exclude-this-pattern cut is kept only as a test fallback
 (nogood=True); it removes a single pattern per round and is far weaker.
 Naive reads no presolve: the master starts from the base fixings alone,
@@ -126,15 +128,18 @@ def sp1_solve(
     least K+1 otherwise.  The initial clique is kept ascending to break
     its symmetry (thresholds are invariant under permuting it).
 
-    `dead[p]` holds placed masks of popcount p > K known to admit no
-    completion.  Past rank K the search state is the mask alone: the
-    next rank is its popcount p, and every later threshold comes from
-    pattern[p..n-1], so a mask's verdict depends only on the ranks from
-    p up and a dead mask stays dead under any pattern at least as strict
-    there.  Below that the symmetry break reads the last vertex placed,
-    so those states are not memoized.  A caller may pass `dead` (one set
-    per rank 0..n-1) to carry verdicts between calls; otherwise the call
-    keeps its own.
+    `dead[p]` holds placed masks of popcount p known to admit no
+    completion.  The search state is the mask alone: the next rank is
+    its popcount p, every later threshold comes from pattern[p..n-1],
+    and the symmetry break reads the last vertex placed, which up to
+    rank K is the mask's highest.  So a mask's verdict depends only on
+    the ranks from p up, and a dead mask stays dead under any pattern at
+    least as strict there.  A caller may pass `dead` (one set per rank
+    0..n-1) to carry verdicts between calls; otherwise the call keeps
+    its own.  A node walks the unplaced vertices as the bits of the
+    free mask and tries them by most adjacent predecessors, then lowest
+    vertex; `stats.choice_points` gains one per placement, on a TIMEOUT
+    too.
     """
     n, K = inst.n, inst.K
     adj = inst.adj_bits
@@ -147,41 +152,49 @@ def sp1_solve(
         return None
     if dead is None:
         dead = [set() for _ in range(n)]
+    need = [r if r <= K else K + 1 - bits[r] for r in range(n)]
+    full = (1 << n) - 1
+    expired = deadline.expired
     perm: list[int] = []
+    nodes = 0
 
     def rec(mask: int) -> bool:
-        if deadline.expired():
+        nonlocal nodes
+        if expired():
             raise TimeoutError
         r = len(perm)
         if r == n:
             return True
-        if r > K and mask in dead[r]:
+        if mask in dead[r]:
             return False
+        # Up to rank K no vertex has more than r placed neighbours, so
+        # need[r] asks a clique; only vertices past the last one are tried.
+        rest = ~mask & (full if r == 0 or r > K else full & -(2 << perm[-1]))
+        least = need[r]
         cands: list[tuple[int, int]] = []
-        for v in range(n):
-            if mask >> v & 1:
-                continue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             pred = (adj[v] & mask).bit_count()
-            if r <= K:
-                if pred == r and (r == 0 or v > perm[-1]):
-                    cands.append((pred, v))
-            elif pred >= (K if bits[r] else K + 1):
-                cands.append((pred, v))
-        cands.sort(key=lambda t: (-t[0], t[1]))
+            if pred >= least:
+                cands.append((-pred, v))
+        cands.sort()
         for _, v in cands:
-            if stats is not None:
-                stats.choice_points += 1
+            nodes += 1
             perm.append(v)
-            if rec(mask | (1 << v)):
+            if rec(mask | 1 << v):
                 return True
             perm.pop()
-        if r > K:
-            dead[r].add(mask)
+        dead[r].add(mask)
         return False
 
-    if rec(0):
-        return VertexOrder(tuple(perm))
-    return None
+    try:
+        found = rec(0)
+    finally:
+        if stats is not None:
+            stats.choice_points += nodes
+    return VertexOrder(tuple(perm)) if found else None
 
 
 def find_iis(
@@ -189,6 +202,7 @@ def find_iis(
     pattern: DoublePattern,
     deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
+    dead: list[set[int]] | None = None,
 ) -> BendersCut | None:
     """Minimal strict-rank set whose thresholds cannot all hold.
 
@@ -201,13 +215,16 @@ def find_iis(
     exists, and None is returned after that one test rather than one per
     strict rank.
 
-    The scan's tests share one dead-mask memo (see `sp1_solve`).  A
-    mask's verdict depends only on the ranks from its popcount up, and
-    once rank r has been tested every rank >= r is final or, when r
-    survives, stricter than in that test.  So the buckets of popcount
-    >= r stay sound for the rest of the scan, and those below r are
-    cleared, since later tests may relax their ranks.  The all-strict
-    and all-double tests keep their own memos.
+    The first test, of the pattern itself, runs on `dead` if given: a
+    caller whose sp1_solve call on this same pattern failed passes that
+    call's memo, where the empty placement is already dead, so the test
+    places no vertex.  The list is then cleared and shared by the scan's
+    tests (see `sp1_solve`).  A mask's verdict depends only on the
+    ranks from its popcount up, and once rank r has been tested every
+    rank >= r is final or, when r survives, stricter than in that test.
+    So the buckets of popcount >= r stay sound for the rest of the scan,
+    and those below r are cleared, since later tests may relax their
+    ranks.  The all-double test keeps its own memo.
     """
     n, K = inst.n, inst.K
     bits = pattern.bits
@@ -223,11 +240,14 @@ def find_iis(
 
     strict0 = sorted((r for r in range(K + 1, n) if bits[r] == 0), reverse=True)
     survivors = set(strict0)
-    if feasible(survivors):
+    if dead is None:
+        dead = [set() for _ in range(n)]
+    if feasible(survivors, dead):
         raise ValueError("pattern is feasible; no infeasible subsystem exists")
+    for masks in dead:
+        masks.clear()
     if not feasible(set()):
         return None
-    dead: list[set[int]] = [set() for _ in range(n)]
     for r in strict0:
         if not feasible(survivors - {r}, dead):
             survivors.discard(r)
@@ -277,6 +297,8 @@ def solve_naive(
     a count of free doubles to start its deepening at.  lower_bound is
     the larger of the last master pattern's double count (every cut and
     the start hold for every valid order) and one more than the start.
+    Each iteration's subproblem memo goes to find_iis when it fails, so
+    the filter does not search that pattern again from scratch.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -291,7 +313,8 @@ def solve_naive(
             if pattern is None:
                 return Solution("INFEASIBLE", None, None, None, stats)
             lower = max(lower, pattern.count())
-            order = sp1_solve(inst, pattern, deadline, stats)
+            dead: list[set[int]] = [set() for _ in range(inst.n)]
+            order = sp1_solve(inst, pattern, deadline, stats, dead)
             if order is not None:
                 report = check_order(inst, order)
                 assert report.is_dvop
@@ -306,7 +329,7 @@ def solve_naive(
                 cuts.append(NoGoodCut(pattern.bits))
             else:
                 t_iis = time.monotonic()
-                cut = find_iis(inst, pattern, deadline, stats)
+                cut = find_iis(inst, pattern, deadline, stats, dead)
                 stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
                 if cut is None:
                     return Solution("INFEASIBLE", None, None, None, stats)

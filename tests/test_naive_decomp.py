@@ -8,6 +8,7 @@ from conftest import assert_timeout_incumbent, small_instances
 from ddvop import naive_decomp
 from ddvop.graph import enumerate_cliques
 from ddvop.harness import solve_with_method
+from ddvop.instgen import acceptance_corpus
 from ddvop.naive_decomp import (
     BendersCut,
     NaiveTrace,
@@ -19,7 +20,8 @@ from ddvop.naive_decomp import (
     sp1_solve,
 )
 from ddvop.oracle import brute_optimum
-from ddvop.order import DoublePattern, check_order, root_bound
+from ddvop.order import DoublePattern, VertexOrder, check_order, root_bound
+from ddvop.solution import SolveStats
 
 
 def test_cut_satisfaction():
@@ -146,13 +148,174 @@ def test_sp1_matches_reference(case):
 @given(instance_and_pattern())
 def test_find_iis_matches_reference(case):
     # The filter's decisions are feasibility verdicts alone, so the memo
-    # carried across its tests must leave the cut unchanged.
+    # carried across its tests must leave the cut unchanged, also when
+    # its guard starts from the memo of a subproblem call on the pattern
+    # (one that found an order, too).
     inst, pattern = case
+    dead = [set() for _ in range(inst.n)]
+    sp1_solve(inst, pattern, dead=dead)
     if reference_feasible(inst, pattern.bits):
         with pytest.raises(ValueError):
             find_iis(inst, pattern)
+        with pytest.raises(ValueError):
+            find_iis(inst, pattern, dead=dead)
     else:
-        assert find_iis(inst, pattern) == reference_iis(inst, pattern.bits)
+        want = reference_iis(inst, pattern.bits)
+        assert find_iis(inst, pattern) == want
+        assert find_iis(inst, pattern, dead=dead) == want
+
+
+def reference_sp1(inst, pattern, stats=None):
+    """The rescanning subproblem: every vertex tested at every node.
+
+    The same search order as sp1_solve (most adjacent predecessors, then
+    lowest vertex; the initial clique ascending), a memo of its own past
+    rank K, and one choice point per placement.
+    """
+    n, K, adj, bits = inst.n, inst.K, inst.adj_bits, pattern.bits
+    if bits[K] != 1:
+        return None
+    dead = [set() for _ in range(n)]
+    perm = []
+
+    def rec(mask):
+        r = len(perm)
+        if r == n:
+            return True
+        if r > K and mask in dead[r]:
+            return False
+        cands = []
+        for v in range(n):
+            if mask >> v & 1:
+                continue
+            pred = (adj[v] & mask).bit_count()
+            if r <= K:
+                if pred == r and (r == 0 or v > perm[-1]):
+                    cands.append((pred, v))
+            elif pred >= (K if bits[r] else K + 1):
+                cands.append((pred, v))
+        cands.sort(key=lambda t: (-t[0], t[1]))
+        for _, v in cands:
+            if stats is not None:
+                stats.choice_points += 1
+            perm.append(v)
+            if rec(mask | (1 << v)):
+                return True
+            perm.pop()
+        if r > K:
+            dead[r].add(mask)
+        return False
+
+    return VertexOrder(tuple(perm)) if rec(0) else None
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance_and_pattern())
+def test_sp1_matches_rescanning_reference(case):
+    # The bit walk and native sort visit the reference's nodes in its order.
+    inst, pattern = case
+    got, want = SolveStats(), SolveStats()
+    assert sp1_solve(inst, pattern, stats=got) == reference_sp1(inst, pattern, want)
+    assert got.choice_points == want.choice_points
+
+
+@st.composite
+def pattern_sequence(draw):
+    """Patterns for one shared memo, each with the ranks it keeps memoized.
+
+    A step keeps the buckets of popcount >= keep and may redraw every
+    rank below keep; from keep up a double may only become strict, so
+    each kept dead mask stays dead.  With keep <= K + 1 every free rank
+    may only tighten, and the buckets up to rank K are kept too.
+    """
+    inst, pattern = draw(instance_and_pattern())
+    n, K = inst.n, inst.K
+    bits = list(pattern.bits)
+    steps = [(0, pattern)]
+    for _ in range(draw(st.integers(1, 4))):
+        keep = draw(st.integers(0, n))
+        for r in range(K + 1, n):
+            if r < keep or bits[r]:
+                bits[r] = int(draw(st.booleans()))
+        steps.append((keep, DoublePattern(tuple(bits))))
+    return inst, steps
+
+
+@settings(deadline=None, max_examples=200)
+@given(pattern_sequence())
+def test_sp1_shared_memo_matches_reference(case):
+    inst, steps = case
+    dead = [set() for _ in range(inst.n)]
+    for keep, pattern in steps:
+        for masks in dead[:keep]:
+            masks.clear()
+        assert sp1_solve(inst, pattern, dead=dead) == reference_sp1(inst, pattern)
+
+
+class Countdown:
+    """A deadline that expires at its (polls + 1)-th poll."""
+
+    def __init__(self, polls):
+        self.polls = polls
+
+    def expired(self):
+        self.polls -= 1
+        return self.polls < 0
+
+
+def test_sp1_counts_choice_points_on_timeout(g6a):
+    # One poll per node: the sixth raises after five placements.
+    stats = SolveStats()
+    with pytest.raises(TimeoutError):
+        sp1_solve(g6a, DoublePattern((0, 0, 1, 1, 1, 1)), Countdown(5), stats)
+    assert stats.choice_points == 5
+
+
+def test_failed_memo_reproves_without_search(g6a):
+    # Every state of a failed call is memoized, the empty placement too.
+    pattern = DoublePattern((0, 0, 1, 0, 0, 0))
+    dead = [set() for _ in range(g6a.n)]
+    assert sp1_solve(g6a, pattern, dead=dead) is None
+    assert dead[0] == {0}
+    stats = SolveStats()
+    assert sp1_solve(g6a, pattern, stats=stats, dead=dead) is None
+    assert stats.choice_points == 0
+
+
+def solve_with_and_without_guard_memo(inst):
+    """solve_naive as is, and with find_iis never given the failed memo."""
+    runs = []
+    for patch in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if patch:
+                m.setattr(naive_decomp, "find_iis", lambda *a: find_iis(*a[:4]))
+            trace = NaiveTrace()
+            runs.append((solve_naive(inst, trace=trace), trace.cuts))
+    return runs
+
+
+def assert_guard_memo_changes_only_work(runs):
+    (got, got_cuts), (want, want_cuts) = runs
+    assert got.status == want.status and got.objective == want.objective
+    assert got.order == want.order and got.lower_bound == want.lower_bound
+    assert got.stats.iterations == want.stats.iterations
+    assert got.stats.cuts == want.stats.cuts and got_cuts == want_cuts
+    assert got.stats.choice_points <= want.stats.choice_points
+
+
+def test_guard_memo_on_acceptance_corpus():
+    saved = 0
+    for inst in acceptance_corpus():
+        runs = solve_with_and_without_guard_memo(inst)
+        assert_guard_memo_changes_only_work(runs)
+        saved += runs[1][0].stats.choice_points - runs[0][0].stats.choice_points
+    assert saved > 0
+
+
+@settings(deadline=None)
+@given(small_instances())
+def test_guard_memo_on_small_instances(inst):
+    assert_guard_memo_changes_only_work(solve_with_and_without_guard_memo(inst))
 
 
 def test_find_iis_hopeless_instance(p5_k2, monkeypatch):

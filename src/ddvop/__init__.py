@@ -9,8 +9,9 @@ oracle, an exact closure search, and two master/subproblem
 decompositions, plus presolve reductions, LP model export, a checker of
 an order against the paper's IP and CP formulations, instance
 generators, and a benchmark harness.  Every solver route takes a time
-limit and nothing else to tune, and returns a Solution with its
-SolveStats; those shared types live in `solution`.  No solver reads the
+limit and nothing else to tune (the oracle bounds its own work by a
+fixed budget), and returns a Solution with its SolveStats; those shared
+types live in `solution`.  No solver reads the
 presolve: `ddvop presolve` prints it, and the tests check it sound.
 """
 

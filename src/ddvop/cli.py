@@ -5,8 +5,8 @@ instance file, gen creates instance files, export emits LP models, and
 bench/profile drive batch comparisons.  Each subcommand takes only the
 flags it reads: every one takes -o/--output, solve and bench take
 --time-limit, the two gen kinds take --seed, and bench takes --workers.
-solve refuses --nogood unless the method is naive, and --cap unless it
-is oracle.
+No solve method takes a tuning flag beyond --time-limit: the oracle
+bounds its own work (see the oracle module) and exits 2 past it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .harness import (
 )
 from .instgen import random_instance_text, synthetic_instance_text
 from .modelgen import MODELS, export, summary_csv
-from .oracle import DEFAULT_CAP, objective_image_and_pareto
+from .oracle import objective_image_and_pareto
 from .order import check_order, format_solution
 from .presolve import full_presolve, DEFAULT_CLIQUE_BUDGET
 from .solution import Solution
@@ -70,17 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--method", choices=METHODS, default="dfs")
     p.add_argument("--objective", choices=("double", "nodes"), default="double")
-    p.add_argument(
-        "--nogood", action="store_true",
-        help="naive method: cut only the failing pattern instead of an IIS",
-    )
-    p.add_argument("--cap", type=int,
-                   help=f"oracle method: enumeration size cap (default {DEFAULT_CAP})")
     _add_time_limit(p)
 
     p = _command(sub, "pareto", "objective image and Pareto frontier")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = _command(sub, "presolve", "print fixings and cover cuts")
     p.add_argument("instance")
@@ -147,18 +140,9 @@ def _solve_stats_csv(method: str, sol: Solution) -> str:
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
-    if ns.nogood and ns.method != "naive":
-        raise UsageError("--nogood applies to --method naive only")
-    if ns.cap is not None and ns.method != "oracle":
-        raise UsageError("--cap applies to --method oracle only")
     inst = _load_instance(ns.instance)
     sol = solve_with_method(
-        inst,
-        ns.method,
-        OBJECTIVE_MAP[ns.objective],
-        time_limit=ns.time_limit,
-        nogood=ns.nogood,
-        oracle_cap=DEFAULT_CAP if ns.cap is None else ns.cap,
+        inst, ns.method, OBJECTIVE_MAP[ns.objective], time_limit=ns.time_limit
     )
     report = None if sol.order is None else check_order(inst, sol.order)
     text = format_solution(sol.status, sol.order, report, sol.lower_bound)
@@ -168,7 +152,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 def cmd_pareto(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns.instance)
-    image, front = objective_image_and_pareto(inst, cap=ns.cap)
+    image, front = objective_image_and_pareto(inst)
     front_set = set(front)
     lines = ["nodes,doubles,dominated"]
     for pt in sorted(image):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .dfs_solver import solve
 from .graph import Instance
 from .naive_decomp import solve_naive
-from .oracle import DEFAULT_CAP, brute_optimum
+from .oracle import brute_optimum
 from .solution import OBJECTIVES, STATS_COLUMNS, Solution, SolveStats
 from .witness_decomp import solve_witness
 
@@ -109,8 +109,6 @@ def solve_with_method(
     method: str,
     objective: str = "min-double",
     time_limit: Optional[float] = None,
-    nogood: bool = False,
-    oracle_cap: int = DEFAULT_CAP,
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
     _check_usage((method,), objective, time_limit)
@@ -118,7 +116,7 @@ def solve_with_method(
         raise UsageError(f"n = {inst.n} exceeds the solver ceiling of {MAX_N}")
     if method == "oracle":
         t0 = time.monotonic()
-        res = brute_optimum(inst, objective, cap=oracle_cap)
+        res = brute_optimum(inst, objective)
         stats = SolveStats(time_ms=(time.monotonic() - t0) * 1000.0)
         if res is None:
             return Solution("INFEASIBLE", None, None, None, stats)
@@ -128,7 +126,7 @@ def solve_with_method(
     if method == "dfs":
         return solve(inst, objective, time_limit)
     if method == "naive":
-        return solve_naive(inst, time_limit, nogood)
+        return solve_naive(inst, time_limit)
     return solve_witness(inst, time_limit)
 
 

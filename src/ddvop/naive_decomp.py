@@ -6,11 +6,10 @@ subproblem searches for an order realizing it: the rank-r vertex needs
 at least K adjacent predecessors where the pattern allows a double and
 at least K+1 where it does not.  When the subproblem fails, a deletion
 filter extracts a minimal set of strict ranks that cannot all stay
-double-free, and the resulting cover cut is returned to the master.
-The subproblem memoizes placed sets proved dead, and the filter's first
-test, of the failed pattern itself, re-proves it from that call's memo.
-The plain exclude-this-pattern cut is kept only as a test fallback
-(nogood=True); it removes a single pattern per round and is far weaker.
+double-free, and the resulting cover cut is returned to the master;
+every cut the master sees is such a cover.  The subproblem memoizes
+placed sets proved dead, and the filter's first test, of the failed
+pattern itself, re-proves it from that call's memo.
 Naive reads no presolve: the master starts from the base fixings alone,
 and the IIS cuts find the head covers a presolve would have given it
 within an iteration or two.  Once the first subproblem fails, the least
@@ -44,20 +43,10 @@ class BendersCut:
         return any(bits[r] for r in self.ranks)
 
 
-@dataclass(frozen=True)
-class NoGoodCut:
-    """Exclude one exact pattern (the weak fallback cut)."""
-
-    bits: tuple[int, ...]
-
-    def satisfied_by(self, bits: Sequence[int]) -> bool:
-        return tuple(bits) != self.bits
-
-
 def mp1_solve(
     n: int,
     K: int,
-    cuts: Sequence[BendersCut | NoGoodCut],
+    cuts: Sequence[BendersCut],
     deadline: Deadline = Deadline(None),
     start: int = 0,
 ) -> DoublePattern | None:
@@ -72,8 +61,7 @@ def mp1_solve(
     """
     bits = [0] * n
     bits[K] = 1
-    covers = [c.ranks for c in cuts if isinstance(c, BendersCut)]
-    nogoods = [c for c in cuts if isinstance(c, NoGoodCut)]
+    covers = [c.ranks for c in cuts]
     free = range(K + 1, n)
     if any(max(c) < K for c in covers):
         return None  # every rank of the cover is fixed to 0
@@ -88,8 +76,6 @@ def mp1_solve(
             return None  # too few ranks left to place them
         if idx == len(free):
             if remaining != 0:
-                return None
-            if any(not g.satisfied_by(bits) for g in nogoods):
                 return None
             return tuple(bits)
         r = free[idx]
@@ -260,9 +246,7 @@ def find_iis(
 class NaiveTrace:
     """Optional audit log: every cut paired with the pattern that spawned it."""
 
-    cuts: list[tuple[BendersCut | NoGoodCut, DoublePattern]] = field(
-        default_factory=list
-    )
+    cuts: list[tuple[BendersCut, DoublePattern]] = field(default_factory=list)
 
 
 def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
@@ -288,7 +272,6 @@ def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
 def solve_naive(
     inst: Instance,
     time_limit: float | None = None,
-    nogood: bool = False,
     trace: NaiveTrace | None = None,
 ) -> Solution:
     """Master-subproblem loop for the minimum-double objective.
@@ -305,7 +288,7 @@ def solve_naive(
     deadline = Deadline(time_limit)
     lower = 1
     try:
-        cuts: list[BendersCut | NoGoodCut] = []
+        cuts: list[BendersCut] = []
         start = 0
         while True:
             pattern = mp1_solve(inst.n, inst.K, cuts, deadline, start)
@@ -325,15 +308,12 @@ def solve_naive(
             if stats.iterations == 1:
                 start = deepening_start(inst, deadline)
                 lower = max(lower, 1 + start)
-            if nogood:
-                cuts.append(NoGoodCut(pattern.bits))
-            else:
-                t_iis = time.monotonic()
-                cut = find_iis(inst, pattern, deadline, stats, dead)
-                stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
-                if cut is None:
-                    return Solution("INFEASIBLE", None, None, None, stats)
-                cuts.append(cut)
+            t_iis = time.monotonic()
+            cut = find_iis(inst, pattern, deadline, stats, dead)
+            stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
+            if cut is None:
+                return Solution("INFEASIBLE", None, None, None, stats)
+            cuts.append(cut)
             if trace is not None:
                 trace.cuts.append((cuts[-1], pattern))
             stats.cuts += 1

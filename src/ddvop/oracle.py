@@ -15,11 +15,19 @@ The DP visits only valid prefix sets: the empty set, then layer by layer
 each extension by an admissible vertex, so its tables hold one entry per
 set that some valid order places first, never all 2^n masks.  It also
 yields exact order counts, the full image of (total_nodes, double_count)
-over valid orders, and the Pareto front of the two objectives.  Everything
-is capped at a configurable vertex count (DEFAULT_CAP), and no cap, however
-large, admits more than MAX_CAP vertices; the refusal comes before any set
-is enumerated.  These routines are ground truth for the real solvers, not
-solvers themselves.
+over valid orders, and the Pareto front of the two objectives.  These
+routines are ground truth for the real solvers, not solvers themselves.
+
+The only limit is a fixed budget on the DP's own work.  Building layer
+r+1 tests every free vertex of every set in layer r, so the admissibility
+tests add up to the sum over r of |layer_r| * (n - r), and each layer's
+share is known before the layer is scanned.  _layers raises
+CapExceededError before the layer that would take that total past
+MAX_PREFIX_TESTS.  On a complete graph every subset is a valid prefix
+set, so K_n needs n * 2^(n-1) tests, and no n-vertex instance needs
+more.  The budget is that work at n = 20, so every instance with n <= 20
+is admitted; a larger one is refused once its layers have cost at most
+the budget, before the next layer is built.
 """
 
 from __future__ import annotations
@@ -32,20 +40,13 @@ from typing import Callable, Iterator, Optional
 from .graph import Instance
 from .order import OrderReport, VertexOrder, check_order
 
-DEFAULT_CAP = 12
-
-# Hard ceiling on any cap: up to 2^20 valid prefix sets, on a complete graph.
-MAX_CAP = 20
+# Admissibility tests _layers may make: n * 2^(n-1) at n = 20, the work
+# of the complete graph K_20 and so of any instance with n <= 20.
+MAX_PREFIX_TESTS = 20 * 2**19
 
 
 class CapExceededError(ValueError):
     """Instance too large for exhaustive solving."""
-
-
-def _check_cap(inst: Instance, cap: int) -> None:
-    limit = min(cap, MAX_CAP)
-    if inst.n > limit:
-        raise CapExceededError(f"oracle capped at n <= {limit}, got n = {inst.n}")
 
 
 def _admissible(inst: Instance, mask: int, count: int, v: int) -> bool:
@@ -77,9 +78,18 @@ def _layers(inst: Instance) -> list[list[int]]:
 
     layers[r] holds every r-vertex set that some valid order places first,
     dead ends included; layers[n] is [full] exactly when a valid order exists.
+    Raises CapExceededError before a layer whose scan would take the
+    admissibility tests past MAX_PREFIX_TESTS.
     """
     layers = [[0]]
+    tests = 0
     for count in range(inst.n):
+        tests += len(layers[-1]) * (inst.n - count)
+        if tests > MAX_PREFIX_TESTS:
+            raise CapExceededError(
+                f"oracle work budget exceeded: layer {count} of n = {inst.n} "
+                f"would take the admissibility tests to {tests} > {MAX_PREFIX_TESTS}"
+            )
         layers.append(sorted({
             mask | 1 << v for mask in layers[-1] for v in _extensions(inst, mask, count)
         }))
@@ -108,11 +118,8 @@ def _backward(
     return values
 
 
-def enumerate_valid_orders(
-    inst: Instance, cap: int = DEFAULT_CAP
-) -> tuple[int, Iterator[VertexOrder]]:
+def enumerate_valid_orders(inst: Instance) -> tuple[int, Iterator[VertexOrder]]:
     """Exact order count over the prefix layers plus a lazy lexicographic iterator."""
-    _check_cap(inst, cap)
     total = _backward(inst, _layers(inst), 1, lambda ext: sum(w for _, w in ext))[0][0]
 
     def walk() -> Iterator[VertexOrder]:
@@ -170,10 +177,9 @@ def _step_for(objective: str) -> Callable[[int, float], float]:
 
 
 def brute_optimum(
-    inst: Instance, objective: str = "min-double", cap: int = DEFAULT_CAP
+    inst: Instance, objective: str = "min-double"
 ) -> Optional[OracleResult]:
     """Exact optimum and a lexicographically first optimal order, or None."""
-    _check_cap(inst, cap)
     step = _step_for(objective)
 
     def best(ext: list[tuple[int, float]]) -> float:
@@ -199,13 +205,12 @@ class ParetoPoint:
     doubles_obj: int
 
 
-def objective_image(inst: Instance, cap: int = DEFAULT_CAP) -> set[ParetoPoint]:
+def objective_image(inst: Instance) -> set[ParetoPoint]:
     """All (total_nodes, double_count) pairs attained by valid orders.
 
     Pair sets propagate back over the prefix layers with the same 2^c
     scaling as the min-nodes recursion.
     """
-    _check_cap(inst, cap)
     values = _backward(
         inst,
         _layers(inst),
@@ -231,18 +236,18 @@ def pareto_front(image: set[ParetoPoint]) -> list[ParetoPoint]:
 
 
 def objective_image_and_pareto(
-    inst: Instance, cap: int = DEFAULT_CAP
+    inst: Instance,
 ) -> tuple[set[ParetoPoint], set[ParetoPoint]]:
-    image = objective_image(inst, cap)
+    image = objective_image(inst)
     return image, set(pareto_front(image))
 
 
-def simultaneous_optimum_probe(inst: Instance, cap: int = DEFAULT_CAP) -> dict:
+def simultaneous_optimum_probe(inst: Instance) -> dict:
     """Do the two objectives share an optimal order?  Reported, not asserted.
 
     A singleton Pareto front means one order attains both optima at once.
     """
-    image = objective_image(inst, cap)
+    image = objective_image(inst)
     if not image:
         return {"feasible": False}
     front = pareto_front(image)

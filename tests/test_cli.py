@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import G6A_EDGES, path_edges
+from conftest import G6A_EDGES, complete_edges, path_edges
 from ddvop import modelgen
 from ddvop.cli import SOLVE_STATS_HEADER, _solve_stats_csv, main
 from ddvop.graph import Instance, parse_instance, render_instance
@@ -15,7 +15,6 @@ from ddvop.harness import (
     bench_csv,
     parse_bench_csv,
 )
-from ddvop.oracle import MAX_CAP
 from ddvop.order import parse_solution
 from ddvop.solution import Solution, SolveStats
 
@@ -75,16 +74,16 @@ def test_solve_flags(g6a_file, capsys):
     assert main(argv) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "s OPTIMAL 2 12"
-    assert main(["solve", g6a_file, "--method", "naive", "--nogood"]) == 0
-    out, _ = capsys.readouterr()
-    assert out.splitlines()[0] == "s OPTIMAL 2 12"
-    assert main(["solve", g6a_file, "--method", "oracle", "--cap", "12"]) == 0
-    out, _ = capsys.readouterr()
-    assert out.splitlines()[0] == "s OPTIMAL 2 12"
-    # Solvers take no tuning flags beyond --time-limit and naive's --nogood.
-    for flag in ("--no-presolve", "--pre-break"):
+    # Solvers take no tuning flag beyond --time-limit, and pareto none.
+    for argv in (
+        ["solve", g6a_file, "--no-presolve"],
+        ["solve", g6a_file, "--pre-break"],
+        ["solve", g6a_file, "--method", "naive", "--nogood"],
+        ["solve", g6a_file, "--method", "oracle", "--cap", "12"],
+        ["pareto", g6a_file, "--cap", "12"],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", g6a_file, flag])
+            main(argv)
         assert exc.value.code == 2
 
 
@@ -294,12 +293,12 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "501"],
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "inf"],
         ["gen", "synthetic", "--k", "2", "--doubles", "1", "--n", "8", "--noise", "nan"],
-        ["solve", "{g6a}", "--method", "witness", "--nogood"],
-        ["solve", "{g6a}", "--method", "dfs", "--nogood"],
-        ["solve", "{g6a}", "--method", "oracle", "--nogood"],
-        ["solve", "{g6a}", "--method", "witness", "--cap", "3"],
-        ["solve", "{g6a}", "--method", "naive", "--cap", "12"],
-        ["solve", "{g6a}", "--cap", "12"],
+        ["solve", "{g6a}", "--method", "witness", "--objective", "nodes"],
+        ["bench", "{g6a}", "--methods", "dfs,naive", "--objective", "nodes"],
+        ["bench", "{g6a}", "--workers", "0"],
+        ["bench", "{g6a}", "--time-limit", "-1"],
+        ["pareto", "/nonexistent/file.dvop"],
+        ["profile", "/nonexistent/bench.csv"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, capsys):
@@ -310,12 +309,13 @@ def test_usage_errors_exit_2(argv, g6a_file, capsys):
 
 
 def test_oracle_cap_above_ceiling_exit_2(tmp_path, capsys):
-    n = MAX_CAP + 1
-    path = tmp_path / "p21.dvop"
-    path.write_text(render_instance(Instance.build(n, 1, path_edges(n))))
-    assert main(["solve", str(path), "--method", "oracle", "--cap", "40"]) == 2
-    _, err = capsys.readouterr()
-    assert err.startswith(f"error: oracle capped at n <= {MAX_CAP}")
+    # K_100 is past the oracle's work budget; both of its readers refuse it.
+    path = tmp_path / "k100.dvop"
+    path.write_text(render_instance(Instance.build(100, 3, complete_edges(100))))
+    for argv in (["solve", str(path), "--method", "oracle"], ["pareto", str(path)]):
+        assert main(argv) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: oracle work budget exceeded: layer 3 ")
 
 
 def test_solver_ceiling_exit_2(tmp_path, capsys):

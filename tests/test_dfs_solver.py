@@ -1,5 +1,6 @@
-"""Closure search vs the oracle and, above its cap, vs naive and witness;
-plus the formulation validator (modelgen.validate_formulation)."""
+"""Closure search vs the oracle, on planted instances up to n = 22 too,
+and vs naive and witness on planted instances up to n = 40; plus the
+formulation validator (modelgen.validate_formulation)."""
 
 import itertools
 import time
@@ -172,9 +173,11 @@ def test_agrees_with_oracle_min_nodes(inst):
         assert check_order(inst, sol.order).total_nodes == ref.value
 
 
-# Planted instances above the oracle cap: round(n/6) doubles and noise 0.1,
+# Planted instances with n from 14 to 40: round(n/6) doubles and noise 0.1,
 # from the first seed (0, 1, ...) the generator accepts.  The planted order
-# is the identity, so it bounds both optima.
+# is the identity, so it bounds both optima.  Up to n = 22 the oracle's work
+# budget admits them, so it is the ground truth there; at every n, naive and
+# witness are checked against dfs.
 PLANTED_GRID = [
     (14, 2), (16, 3), (18, 4), (22, 2), (22, 4),
     (26, 3), (32, 2), (32, 4), (40, 3), (40, 4),
@@ -199,6 +202,9 @@ def test_agrees_above_oracle_cap(n, K):
     assert sd.status == sn.status == "OPTIMAL"
     assert check_order(inst, sd.order).double_count == sd.objective <= sum(marks)
     assert check_order(inst, sn.order).total_nodes == sn.objective <= identity.total_nodes
+    if n <= 22:
+        assert brute_optimum(inst, "min-double").value == sd.objective
+        assert brute_optimum(inst, "min-nodes").value == sn.objective
     for route in (solve_naive, solve_witness):
         sol = route(inst, time_limit=0.5)
         if sol.status == "OPTIMAL":

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import ddvop.harness
+import ddvop.oracle
 from ddvop.harness import (
     BENCH_HEADER,
     MAX_N,
@@ -187,8 +188,10 @@ def test_bench_worker_clamp(monkeypatch, g6a, workers, methods, cpus, pool_size)
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
 
 
-def test_bench_error_row_isolates_failure():
-    # The oracle refuses n beyond its cap; the batch keeps going.
+def test_bench_error_row_isolates_failure(monkeypatch):
+    # The oracle refuses an instance past its work budget, here one of no
+    # work at all; the batch keeps going.
+    monkeypatch.setattr(ddvop.oracle, "MAX_PREFIX_TESTS", 0)
     big = gen_random(13, 0.4, 3, 1)
     rows = run_bench([big], ["oracle", "dfs"])
     assert rows[0].method == "oracle"

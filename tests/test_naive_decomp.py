@@ -12,7 +12,6 @@ from ddvop.instgen import acceptance_corpus
 from ddvop.naive_decomp import (
     BendersCut,
     NaiveTrace,
-    NoGoodCut,
     deepening_start,
     find_iis,
     mp1_solve,
@@ -28,9 +27,6 @@ def test_cut_satisfaction():
     cover = BendersCut(frozenset({3, 5}))
     assert cover.satisfied_by((0, 0, 1, 0, 0, 1))
     assert not cover.satisfied_by((0, 0, 1, 0, 1, 0))
-    nogood = NoGoodCut((0, 0, 1, 0, 0, 0))
-    assert not nogood.satisfied_by((0, 0, 1, 0, 0, 0))
-    assert nogood.satisfied_by((0, 0, 1, 1, 0, 0))
 
 
 def test_mp1_base_only():
@@ -340,14 +336,16 @@ def test_find_iis_hopeless_instance(p5_k2, monkeypatch):
     ],
 )
 @pytest.mark.parametrize("front_door", [True, False])
-@pytest.mark.parametrize("nogood", [False, True])
-def test_frozen_instances(fixture, want, front_door, nogood, request):
-    # The same answers directly and through harness.solve_with_method.
+@pytest.mark.parametrize("limited", [False, True])
+def test_frozen_instances(fixture, want, front_door, limited, request):
+    # The same answers directly and through harness.solve_with_method,
+    # with no deadline and with one that never expires.
     inst = request.getfixturevalue(fixture)
+    time_limit = 60.0 if limited else None
     if front_door:
-        sol = solve_with_method(inst, "naive", nogood=nogood)
+        sol = solve_with_method(inst, "naive", time_limit=time_limit)
     else:
-        sol = solve_naive(inst, nogood=nogood)
+        sol = solve_naive(inst, time_limit)
     if want is None:
         assert sol.status == "INFEASIBLE"
     else:
@@ -365,21 +363,23 @@ def test_timeout(g6a):
 
 
 @pytest.mark.parametrize(
-    "fixture,time_limit,nogood,status,iterations",
+    "fixture,time_limit,master_empty,status,iterations",
     [
         ("g6a", None, False, "OPTIMAL", None),
         # The deletion filter finds no cut: not even all doubles is feasible.
         ("p5_k2", None, False, "INFEASIBLE", 1),
-        # No-good cuts exhaust the patterns until the master comes back empty.
-        ("p5_k2", None, True, "INFEASIBLE", 5),
+        # The master comes back empty: no pattern satisfies the cuts.
+        ("g6a", None, True, "INFEASIBLE", 1),
         ("g6a", 0.0, False, "TIMEOUT", None),
     ],
     ids=["optimal", "iis-infeasible", "master-infeasible", "timeout"],
 )
 def test_time_recorded_on_every_exit(
-    fixture, time_limit, nogood, status, iterations, request
+    fixture, time_limit, master_empty, status, iterations, request, monkeypatch
 ):
-    sol = solve_naive(request.getfixturevalue(fixture), time_limit, nogood)
+    if master_empty:
+        monkeypatch.setattr(naive_decomp, "mp1_solve", lambda *a: None)
+    sol = solve_naive(request.getfixturevalue(fixture), time_limit)
     assert sol.status == status
     if iterations is not None:
         assert sol.stats.iterations == iterations

@@ -5,21 +5,24 @@ double-checked against a plain permutation sweep before being frozen.
 """
 
 import itertools
+import time
 from math import inf
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import G6A_EDGES, path_edges, small_instances
+from conftest import G6A_EDGES, complete_edges, path_edges, small_instances
+from ddvop import oracle
+from ddvop.dfs_solver import solve
 from ddvop.graph import Instance
 from ddvop.instgen import acceptance_corpus
 from ddvop.oracle import (
-    MAX_CAP,
     CapExceededError,
     ParetoPoint,
     _admissible,
     _cost,
+    _layers,
     brute_optimum,
     simultaneous_optimum_probe,
     enumerate_valid_orders,
@@ -107,25 +110,46 @@ def test_p5_k2_infeasible(p5_k2):
     assert objective_image(p5_k2) == set()
 
 
-def test_cap_guard(g6a):
-    with pytest.raises(CapExceededError):
-        brute_optimum(g6a, cap=5)
-    with pytest.raises(CapExceededError):
-        enumerate_valid_orders(g6a, cap=5)
-    with pytest.raises(CapExceededError):
-        objective_image(g6a, cap=5)
+def test_cap_guard(g6a, wheel6, monkeypatch):
+    # The budget counts every admissibility test _layers makes.  It admits
+    # an instance at exactly its work and refuses it at one test less,
+    # before the last layer is scanned.
+    calls = []
+    monkeypatch.setattr(
+        oracle, "_admissible", lambda *a: calls.append(None) or _admissible(*a)
+    )
+    for inst in (g6a, wheel6):
+        calls.clear()
+        layers = _layers(inst)
+        work = sum(len(layer) * (inst.n - r) for r, layer in enumerate(layers[:-1]))
+        assert len(calls) == work
+        monkeypatch.setattr(oracle, "MAX_PREFIX_TESTS", work)
+        assert brute_optimum(inst) is not None
+        assert enumerate_valid_orders(inst)[0] > 0
+        assert objective_image(inst)
+        monkeypatch.setattr(oracle, "MAX_PREFIX_TESTS", work - 1)
+        for route in (brute_optimum, enumerate_valid_orders, objective_image):
+            calls.clear()
+            with pytest.raises(CapExceededError, match=f"layer {inst.n - 1} "):
+                route(inst)
+            # Layer n - 1 holds sets with one free vertex each.
+            assert len(calls) == work - len(layers[-2])
 
 
 def test_cap_ceiling():
-    # A cap above the ceiling does not lift it: a path has few valid prefix
-    # sets, so the refusal must come from the vertex count alone.
-    path = Instance.build(MAX_CAP + 1, 1, path_edges(MAX_CAP + 1))
-    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
-        brute_optimum(path, cap=40)
-    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
-        enumerate_valid_orders(path, cap=40)
-    with pytest.raises(CapExceededError, match=f"n <= {MAX_CAP}"):
-        objective_image(path, cap=40)
+    # A path has few valid prefix sets, so n = 21 is answered: every vertex
+    # from rank 1 on has one placed neighbour, so n - 1 doubles, as dfs says.
+    path = Instance.build(21, 1, path_edges(21))
+    assert brute_optimum(path).value == 20 == solve(path, "min-double").objective
+    assert enumerate_valid_orders(path)[0] > 0
+    assert {p.doubles_obj for p in objective_image(path)} == {20}
+    # K_100 is refused once layers 0-2 are scanned, before layer 3's
+    # C(100, 3) * 97 tests.
+    k100 = Instance.build(100, 3, complete_edges(100))
+    t0 = time.monotonic()
+    with pytest.raises(CapExceededError, match="layer 3 "):
+        brute_optimum(k100)
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_bad_objective(g6a):

@@ -13,8 +13,10 @@ pattern itself, re-proves it from that call's memo.
 Naive reads no presolve: the master starts from the base fixings alone,
 and the IIS cuts find the head covers a presolve would have given it
 within an iteration or two.  Once the first subproblem fails, the least
-root_bound over the initial cliques starts the master's deepening: no
-pattern with fewer free doubles can be realized.
+root bound over the initial cliques starts the master's deepening: no
+pattern with fewer free doubles can be realized.  That is root_bound's
+one-step least, raised by one when a deeper lookahead (order.deepened)
+lifts every root at it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from math import inf
 from typing import Sequence
 
 from .graph import Instance, enumerate_cliques
-from .order import DoublePattern, VertexOrder, check_order, greedy_roots, root_bound
+from .order import (
+    DoublePattern,
+    VertexOrder,
+    check_order,
+    deepened,
+    greedy_roots,
+    root_bound,
+)
 from .solution import Deadline, Solution, SolveStats
 
 
@@ -250,23 +259,38 @@ class NaiveTrace:
 
 
 def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
-    """The least root_bound over the initial cliques, for mp1_solve's start.
+    """The least deepened root bound over the initial cliques, for mp1_solve.
 
     Read once the pattern with no free double has failed: then no root
     has bound 0, since its closure would be an order meeting that
     pattern, and the first cut already makes every pattern take a free
-    double.  So the scan stops at its first root with bound 1, which no
-    other root can beat.  Every valid order starts with some root, so
-    the least bound is a count of free doubles every order needs.  With
-    no completable root it is 0: infeasibility stays for the master and
-    the IIS filter to prove.  root_bound polls the deadline.
+    double.  After the root_bound scan, the roots at the least bound
+    are asked whether a deeper lookahead (order.deepened, up to depth
+    MAX_DEPTH) lifts them to one more; the least rises only when every
+    one of them is lifted.  A root with bound 1 is asked at once: when
+    it stays at 1, no other root can beat it and the scan stops there,
+    and when it is lifted it counts as 2.  Every valid order starts
+    with some root, so the least bound is a count of free doubles every
+    order needs.  With no completable root it is 0: infeasibility stays
+    for the master and the IIS filter to prove.  Both bounds poll the
+    deadline.
     """
-    least = inf
+    least, ties = inf, []
     for clique in enumerate_cliques(inst, inst.K + 1):
-        least = min(least, root_bound(inst, clique, deadline))
-        if least <= 1:
-            break
-    return 0 if least == inf else least
+        bound = root_bound(inst, clique, deadline)
+        if bound == 1:
+            if not deepened(inst, clique, 2, deadline):
+                return 1
+            bound = 2
+        if bound < least:
+            least, ties = bound, []
+        if bound == least:
+            ties.append(clique)
+    if least == inf:
+        return 0
+    if all(deepened(inst, clique, least + 1, deadline) for clique in ties):
+        return least + 1
+    return least
 
 
 def solve_naive(
@@ -277,9 +301,11 @@ def solve_naive(
     """Master-subproblem loop for the minimum-double objective.
 
     After the first subproblem fails, deepening_start gives the master
-    a count of free doubles to start its deepening at.  lower_bound is
-    the larger of the last master pattern's double count (every cut and
-    the start hold for every valid order) and one more than the start.
+    a count of free doubles to start its deepening at, from the roots'
+    one-step bounds and, at the least of them, the deeper test.
+    lower_bound is the larger of the last master pattern's double count
+    (every cut and the start hold for every valid order) and one more
+    than the start.
     Each iteration's subproblem memo goes to find_iis when it fails, so
     the filter does not search that pattern again from scratch.
     """

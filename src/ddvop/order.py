@@ -17,8 +17,10 @@ and the tree size is sum(nodes).
 
 Greedy search completes one order per initial (K+1)-clique; root_bound
 gives each such root a lower bound on the doubles past rank K of every
-order that starts with it.  Both keep each vertex's count of placed
-neighbors, so one completion or one relaxation pass costs O(n + m).
+order that starts with it, and bound_reaches tests whether a deeper
+lookahead lifts that bound to a threshold.  All keep each vertex's count
+of placed neighbors, so one completion or one relaxation pass costs
+O(n + m).
 """
 
 from __future__ import annotations
@@ -315,6 +317,85 @@ def root_bound(
         branch.place((v,))
         bound = min(bound, 1 + branch.stalls(bound - 1))
     return bound
+
+
+MAX_DEPTH = 3  # the deepest lookahead bound_reaches is asked at
+
+
+def bound_reaches(
+    inst: Instance,
+    clique: Clique,
+    t: float,
+    depth: int,
+    deadline: Optional[Deadline] = None,
+) -> bool:
+    """Whether the depth-`depth` lookahead bound of `clique` reaches `t`.
+
+    root_bound's lookahead, recursed and asked as a threshold test.  At
+    a closed relaxed state R, bound_d(R) is 0 when R holds every vertex;
+    otherwise it is the least of 1 + stalls(R) and, for each v with
+    exactly K neighbors in R, 1 + bound_{d-1}(close(R + v)); bound_0 is
+    stalls(R).  bound_1 of the root's closure is root_bound.
+
+    Soundness is root_bound's argument, one double further at each
+    level.  Let R be closed and hold an order's prefix before its i-th
+    double past rank K.  If R is not every vertex, that double exists.
+    Either it lies inside R, and then so does the prefix before the next
+    double, since R is closed, so the order has at least 1 + stalls(R)
+    doubles from the i-th on; or it is a vertex v with exactly K
+    neighbors in R (more would put it in R), close(R + v) holds the
+    prefix before the next double, and by induction the order has at
+    least 1 + bound_{d-1}(close(R + v)) of them.  From the root's
+    closure (i = 1) that bounds every order from `clique`.
+
+    By monotonicity bound_d(R) is stalls(R) or 1 + stalls(R), and a yes
+    at depth d stays a yes at depth d + 1.  So the test needs one capped
+    pass per state: plain = stalls(R) up to t decides alone unless plain
+    is t - 1, and then the answer is yes only if every v reaches t - 1
+    at depth d - 1, which stops at the first no.  There is no memo.
+    Each depth multiplies a root's work by at most its exactly-K level's
+    size, over the O(n + m) pass.  The deadline (None: no limit) is
+    polled before every pass; TimeoutError is raised when it has expired.
+    """
+    return _reaches(_Relaxed(inst, clique.members), t, depth, deadline)
+
+
+def _reaches(
+    state: _Relaxed, t: float, depth: int, deadline: Optional[Deadline]
+) -> bool:
+    """bound_reaches on `state`, which it closes first (and may consume)."""
+    if deadline is not None and deadline.expired():
+        raise TimeoutError
+    state.close()
+    if not state.left:
+        return t <= 0
+    plain = (state if depth == 0 else state.copy()).stalls(t)
+    if plain >= t:
+        return True
+    if depth == 0 or 1 + plain < t:
+        return False
+    for v in sorted(state.level):
+        branch = state.copy()
+        branch.level.discard(v)
+        branch.place((v,))
+        if not _reaches(branch, t - 1, depth - 1, deadline):
+            return False
+    return True
+
+
+def deepened(
+    inst: Instance, clique: Clique, t: float, deadline: Optional[Deadline] = None
+) -> bool:
+    """Whether bound_reaches says yes at some depth from 2 to MAX_DEPTH.
+
+    Worth asking only of a root whose root_bound is t - 1: by the
+    monotonicity in bound_reaches, no depth lifts a lower root_bound to
+    t.  Depth 2 is asked first, since a yes there saves the deeper test.
+    """
+    return any(
+        bound_reaches(inst, clique, t, depth, deadline)
+        for depth in range(2, MAX_DEPTH + 1)
+    )
 
 
 def greedy_roots(

@@ -19,12 +19,13 @@ one-shot constraint set.  Witness reads no presolve: one greedy pass
 decides feasibility and gives the master its strict cutoff and its
 ranked roots; a greedy order with the 1 double every order has needs
 no master at all.  Before the master, every root gets its root_bound,
-and the master skips a root whose bound reaches the cutoff: no order
-from it can beat the incumbent.  The cut pool is seeded with the cut
-of every 2-cycle (two neighbors witness each other only inside the
-clique): the valid inequalities that strengthen the master from its
-first node, and the reason a vertex's users cannot be its witnesses in
-the forced-double bound.
+each root one below the cutoff is asked whether a deeper lookahead
+(order.deepened) reaches it, and the master skips a root whose bound
+reaches the cutoff: no order from it can beat the incumbent.  The cut
+pool is seeded with the cut of every 2-cycle (two neighbors witness
+each other only inside the clique): the valid inequalities that
+strengthen the master from its first node, and the reason a vertex's
+users cannot be its witnesses in the forced-double bound.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .graph import Clique, Instance
-from .order import VertexOrder, check_order, greedy_roots, root_bound
+from .order import VertexOrder, check_order, deepened, greedy_roots, root_bound
 from .solution import Deadline, Solution, SolveStats
 
 Arc = tuple[int, int]
@@ -281,10 +282,10 @@ def mp2_solve(
     counted in stats.cuts and logged with its leaf in trace.cuts) and
     the search goes on.
 
-    A root is skipped when its `bounds` entry (root_bound, aligned with
-    `roots`; None: no root bound) reaches the cutoff.  Branches are
-    pruned on cuts whose left side exceeds the right, and by the
-    forced-double bound: an unassigned vertex w with exactly K
+    A root is skipped when its `bounds` entry (a lower bound on its
+    doubles past rank K, aligned with `roots`; None: no root bound)
+    reaches the cutoff.  Branches are pruned on cuts whose left side
+    exceeds the right, and by the forced-double bound: an unassigned vertex w with exactly K
     neighbors not already using w as a witness must be a double, and
     one with fewer can take no witness set.  A neighbor that uses w
     cannot also witness w, because the two arcs form a 2-cycle among
@@ -443,11 +444,15 @@ def solve_witness(
     the cuts it separates.  When it finds none, the greedy order is
     optimal and its induced state is the accepted one.  A completed
     search sets iterations to 1, even when the root bounds skip every
-    root.  The greedy pass polls the deadline after each root, and the
-    bound pass before each relaxation pass; on TIMEOUT the incumbent is
-    the best greedy order, or none, and lower_bound is 1 + the least
-    root bound, or 1 when the deadline expired before the bound pass
-    ended.  No presolve runs.
+    root.  The root bounds are root_bound's one-step values; a root one
+    below the cutoff gets the cutoff itself when a lookahead of depth 2
+    or 3 reaches it (order.deepened).  No other root can be lifted to
+    the cutoff, and the master reads no bound above it.  The greedy pass
+    polls the deadline after each root, and both bound passes before
+    each relaxation pass; on TIMEOUT the incumbent is the best greedy
+    order, or none, and lower_bound is 1 + the least root bound known
+    when the deadline expired (the roots lifted so far count), or 1 when
+    it expired before the one-step pass ended.  No presolve runs.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -465,11 +470,18 @@ def solve_witness(
             return Solution("INFEASIBLE", None, None, None, stats)
         found = None
         if warm[1].double_count > 1:
+            cutoff = warm[1].double_count - 1
             bounds = [root_bound(inst, cl, deadline) for cl in roots]
-            lower = 1 + min(bounds)
+            try:
+                for i, clique in enumerate(roots):
+                    if bounds[i] == cutoff - 1 and deepened(
+                        inst, clique, cutoff, deadline
+                    ):
+                        bounds[i] = cutoff
+            finally:
+                lower = 1 + min(bounds)
             found = mp2_solve(
-                inst, roots, _seed_cuts(inst), warm[1].double_count - 1,
-                stats, deadline, trace, bounds,
+                inst, roots, _seed_cuts(inst), cutoff, stats, deadline, trace, bounds
             )
             stats.iterations = 1
         if found is None:

@@ -177,7 +177,8 @@ def test_agrees_with_oracle_min_nodes(inst):
 # from the first seed (0, 1, ...) the generator accepts.  The planted order
 # is the identity, so it bounds both optima.  Up to n = 22 the oracle's work
 # budget admits them, so it is the ground truth there; at every n, naive and
-# witness are checked against dfs.
+# witness are checked against dfs, and so is every lower bound they report,
+# TIMEOUT included: an end-to-end check of the deepened root bounds.
 PLANTED_GRID = [
     (14, 2), (16, 3), (18, 4), (22, 2), (22, 4),
     (26, 3), (32, 2), (32, 4), (40, 3), (40, 4),
@@ -207,6 +208,7 @@ def test_agrees_above_oracle_cap(n, K):
         assert brute_optimum(inst, "min-nodes").value == sn.objective
     for route in (solve_naive, solve_witness):
         sol = route(inst, time_limit=0.5)
+        assert sol.lower_bound <= sd.objective, route.__name__
         if sol.status == "OPTIMAL":
             assert sol.objective == sd.objective, route.__name__
         else:

@@ -19,6 +19,7 @@ from ddvop.order import (
     greedy_dvop,
     greedy_from_clique,
     greedy_roots,
+    bound_reaches,
     parse_solution,
     root_bound,
 )
@@ -250,6 +251,50 @@ def test_root_bound_polls_deadline_per_pass():
     with pytest.raises(TimeoutError):
         root_bound(inst, Clique((199, 200)), Deadline(0.0))
     assert root_bound(inst, Clique((199, 200)), Deadline(None)) == 200
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_instances())
+def test_bound_reaches_sound_and_monotone(inst):
+    # A yes at t is a lower bound of t on the root's optimum; depth 1 is
+    # root_bound asked as a threshold; and a yes survives a deeper look.
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        best, one = root_optimum(inst, clique.members), root_bound(inst, clique)
+        for t in range(inst.n - inst.K + 1):
+            answers = [bound_reaches(inst, clique, t, d) for d in range(4)]
+            assert not answers[-1] or t <= best
+            assert answers[1] == (one >= t)
+            assert all(a <= b for a, b in zip(answers, answers[1:]))
+
+
+def test_bound_reaches_beats_one_step(p5_k1):
+    # Root (1, 2) of the path: root_bound's one step stops at 2, while the
+    # deeper test reaches the root's optimum, 3 (order 1, 2, 0, 3, 4).
+    root = Clique((1, 2))
+    assert root_bound(p5_k1, root) == 2 == root_optimum(p5_k1, root.members) - 1
+    assert not bound_reaches(p5_k1, root, 3, 1)
+    assert bound_reaches(p5_k1, root, 3, 3)
+    assert not bound_reaches(p5_k1, root, 4, 3)
+
+
+def test_bound_reaches_polls_deadline_per_pass():
+    # Polled before each pass: the middle root stalls 199 times, so t = 200
+    # needs the lookahead passes after the first.
+    inst = Instance.build(400, 1, [(i, i + 1) for i in range(399)])
+    polls = []
+
+    class SecondPoll:
+        def expired(self):
+            polls.append(None)
+            return len(polls) > 1
+
+    with pytest.raises(TimeoutError):
+        bound_reaches(inst, Clique((199, 200)), 200, 3, SecondPoll())
+    assert len(polls) == 2
+    with pytest.raises(TimeoutError):
+        bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(0.0))
+    assert bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(None))
+    assert not bound_reaches(inst, Clique((199, 200)), 201, 3, Deadline(None))
 
 
 def test_format_and_parse_solution(g6a):

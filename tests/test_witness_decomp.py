@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import order as order_module
 from ddvop import witness_decomp
+from ddvop.dfs_solver import solve as solve_dfs
 from ddvop.graph import Instance, enumerate_cliques
 from ddvop.instgen import gen_random, gen_synthetic
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
-from ddvop.order import VertexOrder, check_order, greedy_dvop, greedy_roots, root_bound
+from ddvop.order import (
+    VertexOrder,
+    check_order,
+    deepened,
+    greedy_dvop,
+    greedy_roots,
+    root_bound,
+)
 from ddvop.witness_decomp import (
     WitnessState,
     WitnessTrace,
@@ -381,6 +389,33 @@ def test_root_bounds_skip_every_root(separating):
     assert sol.status == "OPTIMAL" and sol.objective == sol.lower_bound == 2
     assert sol.stats.iterations == 1 and sol.stats.cliques_considered == 24
     assert sol.stats.choice_points == 0 and sol.stats.cuts == 0
+
+
+def test_deepened_bounds_skip_planted_core():
+    # Planted n = 32, K = 3 (the bench's s16): 15 of its 21 roots sit one
+    # below the greedy cutoff at depth 1, and the depth-3 test lifts every
+    # one of them, so the master searches no root at all.
+    inst = gen_synthetic(3, 5, 0.1, 32, 16)
+    sol = solve_witness(inst, time_limit=0.28)
+    assert sol.status == "OPTIMAL" and sol.stats.choice_points == 0
+    assert sol.objective == sol.lower_bound == solve_dfs(inst, "min-double").objective
+
+
+def test_deepened_bounds_keep_improving_roots():
+    # Greedy gives 4 doubles.  Twelve roots have one-step bound 2, one
+    # below the cutoff; the deeper test lifts exactly the four whose own
+    # optimum is 3 past rank K.  Lifting the rest, whose optimum is 2, would
+    # make witness answer greedy's 4.
+    inst = gen_random(12, 0.4, 2, 158)
+    warm, roots = greedy_roots(inst)
+    assert warm[1].double_count == 4
+    live = [c for c in roots if root_bound(inst, c) < 3]
+    assert len(live) == 12 and all(root_bound(inst, c) == 2 for c in live)
+    lifted = [c.members for c in live if deepened(inst, c, 3)]
+    assert lifted == [(0, 6, 10), (1, 2, 3), (2, 3, 6), (2, 3, 7)]
+    sol = solve_witness(inst)
+    assert sol.objective == sol.lower_bound == 3
+    assert brute_optimum(inst, "min-double").value == 3
 
 
 def test_timeout_lower_bound():

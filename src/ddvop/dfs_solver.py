@@ -127,5 +127,6 @@ def _closure_search(
     order = VertexOrder(tuple(perm))
     report = check_order(inst, order)
     assert report.is_dvop
+    assert int(best) == (report.total_nodes if minimize_nodes else report.double_count)
     lower = int(best) if status == "OPTIMAL" else floor
     return Solution(status, int(best), order, report.doubles, stats, lower)

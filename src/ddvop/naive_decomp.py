@@ -15,8 +15,8 @@ and the IIS cuts find the head covers a presolve would have given it
 within an iteration or two.  Once the first subproblem fails, the least
 root bound over the initial cliques starts the master's deepening: no
 pattern with fewer free doubles can be realized.  That is root_bound's
-one-step least, raised by one when a deeper lookahead (order.deepened)
-lifts every root at it.
+one-step least, raised by one when the depth-3 lookahead
+(order.bound_reaches) lifts every root at it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .graph import Instance, enumerate_cliques
 from .order import (
     DoublePattern,
     VertexOrder,
+    bound_reaches,
     check_order,
-    deepened,
     greedy_roots,
     root_bound,
 )
@@ -259,27 +259,26 @@ class NaiveTrace:
 
 
 def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
-    """The least deepened root bound over the initial cliques, for mp1_solve.
+    """The least lifted root bound over the initial cliques, for mp1_solve.
 
     Read once the pattern with no free double has failed: then no root
     has bound 0, since its closure would be an order meeting that
     pattern, and the first cut already makes every pattern take a free
     double.  After the root_bound scan, the roots at the least bound
-    are asked whether a deeper lookahead (order.deepened, up to depth
-    MAX_DEPTH) lifts them to one more; the least rises only when every
-    one of them is lifted.  A root with bound 1 is asked at once: when
-    it stays at 1, no other root can beat it and the scan stops there,
-    and when it is lifted it counts as 2.  Every valid order starts
-    with some root, so the least bound is a count of free doubles every
-    order needs.  With no completable root it is 0: infeasibility stays
-    for the master and the IIS filter to prove.  Both bounds poll the
-    deadline.
+    are asked whether the depth-MAX_DEPTH lookahead (order.bound_reaches)
+    lifts them to one more; the least rises only when every one of them
+    is lifted.  A root with bound 1 is asked at once: when it stays at
+    1, no other root can beat it and the scan stops there, and when it
+    is lifted it counts as 2.  Every valid order starts with some root,
+    so the least bound is a count of free doubles every order needs.
+    With no completable root it is 0: infeasibility stays for the master
+    and the IIS filter to prove.  Both bounds poll the deadline.
     """
     least, ties = inf, []
     for clique in enumerate_cliques(inst, inst.K + 1):
         bound = root_bound(inst, clique, deadline)
         if bound == 1:
-            if not deepened(inst, clique, 2, deadline):
+            if not bound_reaches(inst, clique, 2, deadline=deadline):
                 return 1
             bound = 2
         if bound < least:
@@ -288,7 +287,9 @@ def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
             ties.append(clique)
     if least == inf:
         return 0
-    if all(deepened(inst, clique, least + 1, deadline) for clique in ties):
+    if all(
+        bound_reaches(inst, clique, least + 1, deadline=deadline) for clique in ties
+    ):
         return least + 1
     return least
 

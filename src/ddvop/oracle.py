@@ -98,29 +98,39 @@ def _layers(inst: Instance) -> list[list[int]]:
 
 def _backward(
     inst: Instance, layers: list[list[int]], leaf: object, node: Callable
-) -> list[list]:
-    """Values per layer, parallel to layers, from the full set back to {}.
+) -> Iterator[list]:
+    """Values per layer, parallel to layers, yielded from the full set back to {}.
 
     node receives a set's extensions as (double cost, successor value) pairs
-    and folds them into the set's own value; a dead end gets node([]).
+    and folds them into the set's own value; a dead end gets node([]).  Each
+    layer is built from the one yielded before it, which the generator then
+    drops, so a caller that keeps no layer holds two at most.  The last
+    layer yielded holds {}'s value alone.
     """
-    values = [[leaf] * len(layers[inst.n])]
+    vals = [leaf] * len(layers[inst.n])
+    yield vals
     for count in range(inst.n - 1, -1, -1):
-        succ, vals = layers[count + 1], values[-1]
-        values.append([
+        succ = layers[count + 1]
+        vals = [
             node([
                 (_cost(inst, mask, count, v), vals[bisect_left(succ, mask | 1 << v)])
                 for v in _extensions(inst, mask, count)
             ])
             for mask in layers[count]
-        ])
-    values.reverse()
-    return values
+        ]
+        yield vals
+
+
+def _root_value(inst: Instance, leaf: object, node: Callable) -> object:
+    """The empty set's value under _backward, keeping no layer behind it."""
+    for vals in _backward(inst, _layers(inst), leaf, node):
+        pass
+    return vals[0]
 
 
 def enumerate_valid_orders(inst: Instance) -> tuple[int, Iterator[VertexOrder]]:
     """Exact order count over the prefix layers plus a lazy lexicographic iterator."""
-    total = _backward(inst, _layers(inst), 1, lambda ext: sum(w for _, w in ext))[0][0]
+    total = _root_value(inst, 1, lambda ext: sum(w for _, w in ext))
 
     def walk() -> Iterator[VertexOrder]:
         prefix: list[int] = []
@@ -187,7 +197,7 @@ def brute_optimum(
         return min((step(c, f) for c, f in ext), default=math.inf)
 
     layers = _layers(inst)
-    values = _backward(inst, layers, 0.0, best)
+    values = list(_backward(inst, layers, 0.0, best))[::-1]
     if values[0][0] == math.inf:
         return None
     order = _walk_optimal(inst, layers, values, step)
@@ -209,17 +219,17 @@ def objective_image(inst: Instance) -> set[ParetoPoint]:
     """All (total_nodes, double_count) pairs attained by valid orders.
 
     Pair sets propagate back over the prefix layers with the same 2^c
-    scaling as the min-nodes recursion.
+    scaling as the min-nodes recursion.  Only the layer being built and its
+    successor are held at once.
     """
-    values = _backward(
+    pairs = _root_value(
         inst,
-        _layers(inst),
         frozenset({(0, 0)}),
         lambda ext: frozenset(
             {((2 ** c) * (1 + t), c + d) for c, succ in ext for t, d in succ}
         ),
     )
-    return {ParetoPoint(t, d) for t, d in values[0][0]}
+    return {ParetoPoint(t, d) for t, d in pairs}
 
 
 def pareto_front(image: set[ParetoPoint]) -> list[ParetoPoint]:

@@ -17,10 +17,11 @@ and the tree size is sum(nodes).
 
 Greedy search completes one order per initial (K+1)-clique; root_bound
 gives each such root a lower bound on the doubles past rank K of every
-order that starts with it, and bound_reaches tests whether a deeper
-lookahead lifts that bound to a threshold.  All keep each vertex's count
-of placed neighbors, so one completion or one relaxation pass costs
-O(n + m).
+order that starts with it, and bound_reaches tests whether the same
+lookahead, recursed to depth MAX_DEPTH, lifts that bound to a threshold;
+both scan their branches with _branches_reach.  All keep each vertex's
+count of placed neighbors, so one completion or one relaxation pass
+costs O(n + m).
 """
 
 from __future__ import annotations
@@ -283,16 +284,11 @@ def root_bound(
     Sviridenko, Optim. Lett. 2012, in counting form).  When a stall has
     nothing to place, C cannot be completed and the bound is infinite.
 
-    Lookahead: let R be the closure of C.  The bound is 0 when R is every
-    vertex.  Otherwise the order's first double past rank K either lies
-    inside R, and then its prefix up to the second such double still
-    lies in R, so the order has at least 1 + stalls(C) of them; or it is
-    a vertex v outside R with exactly K neighbors in R, and the order has
-    at least 1 + stalls(R + v).  The bound is the least of these.  By
-    monotonicity stalls(C) - 1 <= stalls(R + v) <= stalls(C), so the
-    bound is stalls(C) or 1 + stalls(C), and the inside case never sets
-    it alone: it seeds the minimum, which lets each pass stop once it
-    cannot lower the bound, and the scan of the v stops at stalls(C).
+    The lookahead is bound_reaches' at depth 1, whose docstring holds
+    its proof: with R the closure of C, the bound is 0 when R is every
+    vertex, and otherwise stalls(R) or 1 + stalls(R), the latter exactly
+    when bound_reaches(clique, 1 + stalls(R), 1) says yes: when every
+    branch close(R + v) still stalls stalls(R) times.
 
     Each pass costs O(n + m).  The deadline (None: no limit) is polled
     before every pass; TimeoutError is raised when it has expired.
@@ -306,17 +302,7 @@ def root_bound(
     plain = closed.copy().stalls()
     if plain == inf:
         return inf  # every lookahead term is infinite too, by monotonicity
-    bound = 1 + plain  # the first double past rank K lies inside R
-    for v in sorted(closed.level):
-        if bound == plain:
-            break
-        if deadline is not None and deadline.expired():
-            raise TimeoutError
-        branch = closed.copy()
-        branch.level.discard(v)
-        branch.place((v,))
-        bound = min(bound, 1 + branch.stalls(bound - 1))
-    return bound
+    return plain + _branches_reach(closed, plain + 1, 1, deadline)
 
 
 MAX_DEPTH = 3  # the deepest lookahead bound_reaches is asked at
@@ -326,36 +312,42 @@ def bound_reaches(
     inst: Instance,
     clique: Clique,
     t: float,
-    depth: int,
+    depth: int = MAX_DEPTH,
     deadline: Optional[Deadline] = None,
 ) -> bool:
     """Whether the depth-`depth` lookahead bound of `clique` reaches `t`.
 
-    root_bound's lookahead, recursed and asked as a threshold test.  At
+    root_bound's relaxation, recursed and asked as a threshold test.  At
     a closed relaxed state R, bound_d(R) is 0 when R holds every vertex;
     otherwise it is the least of 1 + stalls(R) and, for each v with
     exactly K neighbors in R, 1 + bound_{d-1}(close(R + v)); bound_0 is
     stalls(R).  bound_1 of the root's closure is root_bound.
 
-    Soundness is root_bound's argument, one double further at each
-    level.  Let R be closed and hold an order's prefix before its i-th
-    double past rank K.  If R is not every vertex, that double exists.
-    Either it lies inside R, and then so does the prefix before the next
-    double, since R is closed, so the order has at least 1 + stalls(R)
-    doubles from the i-th on; or it is a vertex v with exactly K
-    neighbors in R (more would put it in R), close(R + v) holds the
-    prefix before the next double, and by induction the order has at
-    least 1 + bound_{d-1}(close(R + v)) of them.  From the root's
+    Soundness extends root_bound's stall count one double further at
+    each level.  Let R be closed and hold an order's prefix before its
+    i-th double past rank K.  If R is not every vertex, that double
+    exists.  Either it lies inside R, and then so does the prefix before
+    the next double, since R is closed, so the order has at least
+    1 + stalls(R) doubles from the i-th on; or it is a vertex v with
+    exactly K neighbors in R (more would put it in R), close(R + v)
+    holds the prefix before the next double, and by induction the order
+    has at least 1 + bound_{d-1}(close(R + v)) of them.  From the root's
     closure (i = 1) that bounds every order from `clique`.
 
-    By monotonicity bound_d(R) is stalls(R) or 1 + stalls(R), and a yes
-    at depth d stays a yes at depth d + 1.  So the test needs one capped
-    pass per state: plain = stalls(R) up to t decides alone unless plain
-    is t - 1, and then the answer is yes only if every v reaches t - 1
-    at depth d - 1, which stops at the first no.  There is no memo.
-    Each depth multiplies a root's work by at most its exactly-K level's
-    size, over the O(n + m) pass.  The deadline (None: no limit) is
-    polled before every pass; TimeoutError is raised when it has expired.
+    By monotonicity stalls(R) - 1 <= stalls(close(R + v)) <= stalls(R),
+    so bound_d(R) is stalls(R) or 1 + stalls(R), and a yes at depth d
+    stays a yes at depth d + 1.  So the test needs one capped pass per
+    state: plain = stalls(R) up to t decides alone unless plain is
+    t - 1, and then the answer is yes only if every v reaches t - 1 at
+    depth d - 1, which stops at the first no.  A state answers from its
+    own pass whenever that pass reaches its threshold, whatever its
+    depth, so a shallower ask that says yes makes exactly the passes of
+    the MAX_DEPTH ask (the default): one MAX_DEPTH ask answers for every
+    depth, in no more passes than asking them in turn.  There is no
+    memo.  Each depth multiplies a root's work by at most its exactly-K
+    level's size, over the O(n + m) pass.  The deadline (None: no limit)
+    is polled before every pass; TimeoutError is raised when it has
+    expired.
     """
     return _reaches(_Relaxed(inst, clique.members), t, depth, deadline)
 
@@ -374,6 +366,16 @@ def _reaches(
         return True
     if depth == 0 or 1 + plain < t:
         return False
+    return _branches_reach(state, t, depth, deadline)
+
+
+def _branches_reach(
+    state: _Relaxed, t: float, depth: int, deadline: Optional[Deadline]
+) -> bool:
+    """Whether close(state + v) reaches t - 1 at depth - 1 for every level v.
+
+    `state` is closed and is left as it was.  Stops at the first no.
+    """
     for v in sorted(state.level):
         branch = state.copy()
         branch.level.discard(v)
@@ -381,21 +383,6 @@ def _reaches(
         if not _reaches(branch, t - 1, depth - 1, deadline):
             return False
     return True
-
-
-def deepened(
-    inst: Instance, clique: Clique, t: float, deadline: Optional[Deadline] = None
-) -> bool:
-    """Whether bound_reaches says yes at some depth from 2 to MAX_DEPTH.
-
-    Worth asking only of a root whose root_bound is t - 1: by the
-    monotonicity in bound_reaches, no depth lifts a lower root_bound to
-    t.  Depth 2 is asked first, since a yes there saves the deeper test.
-    """
-    return any(
-        bound_reaches(inst, clique, t, depth, deadline)
-        for depth in range(2, MAX_DEPTH + 1)
-    )
 
 
 def greedy_roots(

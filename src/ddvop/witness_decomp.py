@@ -19,8 +19,8 @@ one-shot constraint set.  Witness reads no presolve: one greedy pass
 decides feasibility and gives the master its strict cutoff and its
 ranked roots; a greedy order with the 1 double every order has needs
 no master at all.  Before the master, every root gets its root_bound,
-each root one below the cutoff is asked whether a deeper lookahead
-(order.deepened) reaches it, and the master skips a root whose bound
+each root one below the cutoff is asked whether the depth-3 lookahead
+(order.bound_reaches) reaches it, and the master skips a root whose bound
 reaches the cutoff: no order from it can beat the incumbent.  The cut
 pool is seeded with the cut of every 2-cycle (two neighbors witness
 each other only inside the clique): the valid inequalities that
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .graph import Clique, Instance
-from .order import VertexOrder, check_order, deepened, greedy_roots, root_bound
+from .order import VertexOrder, bound_reaches, check_order, greedy_roots, root_bound
 from .solution import Deadline, Solution, SolveStats
 
 Arc = tuple[int, int]
@@ -445,8 +445,8 @@ def solve_witness(
     optimal and its induced state is the accepted one.  A completed
     search sets iterations to 1, even when the root bounds skip every
     root.  The root bounds are root_bound's one-step values; a root one
-    below the cutoff gets the cutoff itself when a lookahead of depth 2
-    or 3 reaches it (order.deepened).  No other root can be lifted to
+    below the cutoff gets the cutoff itself when the depth-3 lookahead
+    reaches it (order.bound_reaches).  No other root can be lifted to
     the cutoff, and the master reads no bound above it.  The greedy pass
     polls the deadline after each root, and both bound passes before
     each relaxation pass; on TIMEOUT the incumbent is the best greedy
@@ -474,8 +474,8 @@ def solve_witness(
             bounds = [root_bound(inst, cl, deadline) for cl in roots]
             try:
                 for i, clique in enumerate(roots):
-                    if bounds[i] == cutoff - 1 and deepened(
-                        inst, clique, cutoff, deadline
+                    if bounds[i] == cutoff - 1 and bound_reaches(
+                        inst, clique, cutoff, deadline=deadline
                     ):
                         bounds[i] = cutoff
             finally:

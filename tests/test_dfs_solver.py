@@ -178,7 +178,7 @@ def test_agrees_with_oracle_min_nodes(inst):
 # is the identity, so it bounds both optima.  Up to n = 22 the oracle's work
 # budget admits them, so it is the ground truth there; at every n, naive and
 # witness are checked against dfs, and so is every lower bound they report,
-# TIMEOUT included: an end-to-end check of the deepened root bounds.
+# TIMEOUT included: an end-to-end check of the lifted root bounds.
 PLANTED_GRID = [
     (14, 2), (16, 3), (18, 4), (22, 2), (22, 4),
     (26, 3), (32, 2), (32, 4), (40, 3), (40, 4),
@@ -194,7 +194,7 @@ def planted(n, K):
 
 
 @pytest.mark.parametrize("n,K", PLANTED_GRID)
-def test_agrees_above_oracle_cap(n, K):
+def test_planted_grid_routes_agree(n, K):
     inst, marks, _, _ = planted(n, K)
     identity = check_order(inst, VertexOrder(tuple(range(n))))
     assert identity.is_dvop

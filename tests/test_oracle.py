@@ -136,6 +136,32 @@ def test_cap_guard(g6a, wheel6, monkeypatch):
             assert len(calls) == work - len(layers[-2])
 
 
+@pytest.mark.parametrize("fixture", ["g6a", "k6", "wheel6"])
+def test_image_holds_two_layers_at_most(fixture, monkeypatch, request):
+    # objective_image reads only the empty set's pair set, so the pair
+    # sets alive at once are the layer being built, its successor and
+    # the leaf value: never every layer's, as a list of layers would be.
+    inst = request.getfixturevalue(fixture)
+    want = objective_image(inst)
+
+    class LiveSet(frozenset):
+        live = peak = 0
+
+        def __new__(cls, *args):
+            LiveSet.live += 1
+            LiveSet.peak = max(LiveSet.peak, LiveSet.live)
+            return super().__new__(cls, *args)
+
+        def __del__(self):
+            LiveSet.live -= 1
+
+    monkeypatch.setattr(oracle, "frozenset", LiveSet, raising=False)
+    assert objective_image(inst) == want
+    sizes = [len(layer) for layer in _layers(inst)]
+    assert LiveSet.peak <= 1 + max(a + b for a, b in zip(sizes, sizes[1:]))
+    assert LiveSet.peak < sum(sizes)
+
+
 def test_cap_ceiling():
     # A path has few valid prefix sets, so n = 21 is answered: every vertex
     # from rank 1 on has one placed neighbour, so n - 1 doubles, as dfs says.

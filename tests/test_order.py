@@ -11,6 +11,7 @@ from conftest import small_instances
 from ddvop import order as order_module
 from ddvop.graph import Clique, Instance, enumerate_cliques
 from ddvop.order import (
+    MAX_DEPTH,
     DoublePattern,
     OrderReport,
     VertexOrder,
@@ -295,6 +296,74 @@ def test_bound_reaches_polls_deadline_per_pass():
         bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(0.0))
     assert bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(None))
     assert not bound_reaches(inst, Clique((199, 200)), 201, 3, Deadline(None))
+
+
+def one_step_root_bound(inst, clique, deadline):
+    """Reference: root_bound's one-step lookahead as its own branch loop."""
+    if deadline.expired():
+        raise TimeoutError
+    closed = order_module._Relaxed(inst, clique.members)
+    closed.close()
+    if not closed.left:
+        return 0
+    plain = closed.copy().stalls()
+    if plain == inf:
+        return inf
+    bound = 1 + plain
+    for v in sorted(closed.level):
+        if bound == plain:
+            break
+        if deadline.expired():
+            raise TimeoutError
+        branch = closed.copy()
+        branch.level.discard(v)
+        branch.place((v,))
+        bound = min(bound, 1 + branch.stalls(bound - 1))
+    return bound
+
+
+def count_stalls(mp):
+    calls, stalls = [], order_module._Relaxed.stalls
+    mp.setattr(
+        order_module._Relaxed, "stalls", lambda s, *a: calls.append(None) or stalls(s, *a)
+    )
+    return calls
+
+
+class CountPolls:
+    def __init__(self):
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return False
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_instances())
+def test_root_bound_matches_one_step_loop(inst):
+    # root_bound's value through bound_reaches' branch scan is the
+    # reference loop's, with a deadline poll before the same passes.
+    for clique in enumerate_cliques(inst, inst.K + 1):
+        want, got = CountPolls(), CountPolls()
+        assert root_bound(inst, clique, got) == one_step_root_bound(inst, clique, want)
+        assert got.polls == want.polls
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_instances())
+def test_default_depth_answers_for_every_depth(inst):
+    # One MAX_DEPTH ask one above root_bound answers as asking depth 2,
+    # then each deeper one up to a yes, did, and makes no more passes.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_stalls(mp)
+        for clique in enumerate_cliques(inst, inst.K + 1):
+            t = root_bound(inst, clique) + 1
+            start = len(calls)
+            want = any(bound_reaches(inst, clique, t, d) for d in range(2, MAX_DEPTH + 1))
+            mid = len(calls)
+            assert bound_reaches(inst, clique, t) == want
+            assert len(calls) - mid <= mid - start
 
 
 def test_format_and_parse_solution(g6a):

@@ -17,8 +17,8 @@ from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import (
     VertexOrder,
+    bound_reaches,
     check_order,
-    deepened,
     greedy_dvop,
     greedy_roots,
     root_bound,
@@ -411,7 +411,7 @@ def test_deepened_bounds_keep_improving_roots():
     assert warm[1].double_count == 4
     live = [c for c in roots if root_bound(inst, c) < 3]
     assert len(live) == 12 and all(root_bound(inst, c) == 2 for c in live)
-    lifted = [c.members for c in live if deepened(inst, c, 3)]
+    lifted = [c.members for c in live if bound_reaches(inst, c, 3)]
     assert lifted == [(0, 6, 10), (1, 2, 3), (2, 3, 6), (2, 3, 7)]
     sol = solve_witness(inst)
     assert sol.objective == sol.lower_bound == 3

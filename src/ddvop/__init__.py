@@ -6,13 +6,13 @@ exactly K earlier neighbors are doubles and each one doubles the size of
 the downstream search tree.  This package finds orders minimizing either
 the number of doubles or the implied tree node count, via a brute-force
 oracle, an exact closure search, and two master/subproblem
-decompositions, plus presolve reductions, LP model export, a checker of
-an order against the paper's IP and CP formulations, instance
-generators, and a benchmark harness.  Every solver route takes a time
-limit and nothing else to tune (the oracle bounds its own work by a
-fixed budget), and returns a Solution with its SolveStats; those shared
-types live in `solution`.  No solver reads the
-presolve: `ddvop presolve` prints it, and the tests check it sound.
+decompositions, plus a per-root bound table (presolve), LP model
+export, a checker of an order against the paper's IP and CP
+formulations, instance generators, and a benchmark harness.  Every
+solver route takes a time limit and nothing else to tune (the oracle
+bounds its own work by a fixed budget), and returns a Solution with its
+SolveStats; those shared types live in `solution`.  `ddvop presolve`
+prints the root bounds that witness and naive compute for themselves.
 """
 
 from .dfs_solver import solve

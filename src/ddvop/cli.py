@@ -7,6 +7,9 @@ flags it reads: every one takes -o/--output, solve and bench take
 --time-limit, the two gen kinds take --seed, and bench takes --workers.
 No solve method takes a tuning flag beyond --time-limit: the oracle
 bounds its own work (see the oracle module) and exits 2 past it.
+presolve prints the root bound of every initial clique, and exits 2
+past presolve.MAX_ROOTS of them.  solve, gen and presolve exit 2 on
+n > harness.MAX_N.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from typing import Optional
 
 from .graph import Instance, parse_instance
 from .harness import (
-    MAX_N,
     METHODS,
     RESULT_HEADER,
-    UsageError,
     bench_csv,
+    check_size,
     parse_bench_csv,
     perf_profile,
     profile_csv,
@@ -34,7 +36,7 @@ from .instgen import random_instance_text, synthetic_instance_text
 from .modelgen import MODELS, export, summary_csv
 from .oracle import objective_image_and_pareto
 from .order import check_order, format_solution
-from .presolve import full_presolve, DEFAULT_CLIQUE_BUDGET
+from .presolve import full_presolve
 from .solution import Solution
 
 OBJECTIVE_MAP = {"double": "min-double", "nodes": "min-nodes"}
@@ -75,11 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "pareto", "objective image and Pareto frontier")
     p.add_argument("instance")
 
-    p = _command(sub, "presolve", "print fixings and cover cuts")
+    p = _command(sub, "presolve", "print the root bound of every initial clique")
     p.add_argument("instance")
-    p.add_argument("--no-head", action="store_true",
-                   help="skip the clique-based head analysis")
-    p.add_argument("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET)
 
     p = sub.add_parser("gen", help="generate an instance file")
     kinds = p.add_subparsers(dest="kind", required=True, metavar="KIND")
@@ -165,16 +164,14 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
 
 def cmd_presolve(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns.instance)
-    result = full_presolve(
-        inst, use_head=not ns.no_head, clique_budget=ns.clique_budget
-    )
+    check_size(inst.n)
+    result = full_presolve(inst)
     _emit(ns, "\n".join(result.as_lines()) + "\n")
     return 0
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
-    if ns.n > MAX_N:
-        raise UsageError(f"n = {ns.n} exceeds the solver ceiling of {MAX_N}")
+    check_size(ns.n)
     if ns.kind == "random":
         text = random_instance_text(ns.n, ns.density, ns.k, ns.seed)
     else:
@@ -234,8 +231,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return HANDLERS[ns.command](ns)
     except (ValueError, FileNotFoundError) as exc:
-        # ParseError, GenerationError, UsageError and CapExceededError
-        # are all ValueErrors.
+        # ParseError, GenerationError, UsageError, CapExceededError and
+        # presolve's refusal are all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

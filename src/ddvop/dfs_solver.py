@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from math import inf
 
-from .graph import Instance, enumerate_cliques
+from .graph import Instance, iter_cliques
 from .order import VertexOrder, check_order
 from .solution import OBJECTIVES, Deadline, Solution, SolveStats
 
@@ -103,7 +103,7 @@ def _closure_search(
     floor = K + 2 * (inst.n - K) if minimize_nodes else 1
     best, root, status = inf, 0, "OPTIMAL"
     try:
-        for clique in enumerate_cliques(inst, K + 1):
+        for clique in iter_cliques(inst, K + 1):
             stats.cliques_considered += 1
             mask = sum(1 << v for v in clique.members)
             value = branch(mask) + (K if minimize_nodes else 0)

@@ -118,11 +118,6 @@ def _connected(n: int, neighbors: Sequence[frozenset[int]]) -> bool:
     return count == n
 
 
-def min_degree(inst: Instance) -> int:
-    """Smallest vertex degree in the instance."""
-    return min(inst.degree(v) for v in range(inst.n))
-
-
 def parse_instance(text: str, name: str = "") -> Instance:
     """Parse the instance file format, establishing all Instance invariants."""
     n = m = K = None

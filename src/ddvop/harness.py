@@ -32,10 +32,12 @@ METHODS = ("oracle", "dfs", "naive", "witness")
 # Methods built around double-pattern masters cannot minimize node counts.
 DOUBLE_ONLY_METHODS = ("naive", "witness")
 
-# Largest n a solve accepts, and so `ddvop gen` too.  Every search
-# recurses up to one frame per rank (dfs: one per double), so n near
-# Python's default recursion limit of 1000 dies in RecursionError; 500
-# leaves half that limit to the callers (CLI, bench, a test runner).
+# Largest n a solve accepts, and so `ddvop gen` and `ddvop presolve`
+# too (check_size).  Every search recurses up to one frame per rank
+# (dfs: one per double), so n near Python's default recursion limit of
+# 1000 dies in RecursionError; 500 leaves half that limit to the
+# callers (CLI, bench, a test runner).  presolve's root bounds cost
+# O(n^2) on a path.
 # The greedy and root-bound passes of naive and witness set no lower
 # cap: greedy is O(c(n + m)) for c root cliques and polls the deadline
 # after each one, and the bound polls it before each O(n + m) relaxation
@@ -55,6 +57,12 @@ _TIME_FLOOR_MS = 0.01
 
 class UsageError(ValueError):
     """Caller misuse (bad method list, unsupported combination)."""
+
+
+def check_size(n: int) -> None:
+    """Refuse an instance of more than MAX_N vertices."""
+    if n > MAX_N:
+        raise UsageError(f"n = {n} exceeds the solver ceiling of {MAX_N}")
 
 
 def result_fields(
@@ -112,8 +120,7 @@ def solve_with_method(
 ) -> Solution:
     """Uniform front door: any method in, a Solution out."""
     _check_usage((method,), objective, time_limit)
-    if inst.n > MAX_N:
-        raise UsageError(f"n = {inst.n} exceeds the solver ceiling of {MAX_N}")
+    check_size(inst.n)
     if method == "oracle":
         t0 = time.monotonic()
         res = brute_optimum(inst, objective)

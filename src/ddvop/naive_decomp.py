@@ -10,13 +10,12 @@ double-free, and the resulting cover cut is returned to the master;
 every cut the master sees is such a cover.  The subproblem memoizes
 placed sets proved dead, and the filter's first test, of the failed
 pattern itself, re-proves it from that call's memo.
-Naive reads no presolve: the master starts from the base fixings alone,
-and the IIS cuts find the head covers a presolve would have given it
-within an iteration or two.  Once the first subproblem fails, the least
-root bound over the initial cliques starts the master's deepening: no
-pattern with fewer free doubles can be realized.  That is root_bound's
-one-step least, raised by one when the depth-3 lookahead
-(order.bound_reaches) lifts every root at it.
+The master starts from the base fixings alone (no double below rank K,
+one at rank K).  Once the first subproblem fails, the least root bound
+over the initial cliques starts the master's deepening: no pattern with
+fewer free doubles can be realized.  That is root_bound's one-step least
+(the least of the bounds `ddvop presolve` prints), raised by one when
+the depth-3 lookahead (order.bound_reaches) lifts every root at it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Sequence
 
-from .graph import Instance, enumerate_cliques
+from .graph import Instance, iter_cliques
 from .order import (
     DoublePattern,
     VertexOrder,
@@ -275,7 +274,7 @@ def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
     and the IIS filter to prove.  Both bounds poll the deadline.
     """
     least, ties = inf, []
-    for clique in enumerate_cliques(inst, inst.K + 1):
+    for clique in iter_cliques(inst, inst.K + 1):
         bound = root_bound(inst, clique, deadline)
         if bound == 1:
             if not bound_reaches(inst, clique, 2, deadline=deadline):

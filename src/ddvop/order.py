@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .graph import Clique, Instance, enumerate_cliques
-
-if TYPE_CHECKING:  # solution imports this module
-    from .solution import Deadline
+from .graph import Clique, Instance, iter_cliques
+from .solution import Deadline
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,7 @@ class _Relaxed:
 
 
 def root_bound(
-    inst: Instance, clique: Clique, deadline: Optional[Deadline] = None
+    inst: Instance, clique: Clique, deadline: Deadline = Deadline(None)
 ) -> float:
     """Lower bound on the doubles past rank K of any valid order from `clique`.
 
@@ -290,10 +288,10 @@ def root_bound(
     when bound_reaches(clique, 1 + stalls(R), 1) says yes: when every
     branch close(R + v) still stalls stalls(R) times.
 
-    Each pass costs O(n + m).  The deadline (None: no limit) is polled
+    Each pass costs O(n + m).  The deadline (by default none) is polled
     before every pass; TimeoutError is raised when it has expired.
     """
-    if deadline is not None and deadline.expired():
+    if deadline.expired():
         raise TimeoutError
     closed = _Relaxed(inst, clique.members)
     closed.close()
@@ -313,7 +311,7 @@ def bound_reaches(
     clique: Clique,
     t: float,
     depth: int = MAX_DEPTH,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(None),
 ) -> bool:
     """Whether the depth-`depth` lookahead bound of `clique` reaches `t`.
 
@@ -345,18 +343,16 @@ def bound_reaches(
     the MAX_DEPTH ask (the default): one MAX_DEPTH ask answers for every
     depth, in no more passes than asking them in turn.  There is no
     memo.  Each depth multiplies a root's work by at most its exactly-K
-    level's size, over the O(n + m) pass.  The deadline (None: no limit)
-    is polled before every pass; TimeoutError is raised when it has
+    level's size, over the O(n + m) pass.  The deadline (by default
+    none) is polled before every pass; TimeoutError is raised when it has
     expired.
     """
     return _reaches(_Relaxed(inst, clique.members), t, depth, deadline)
 
 
-def _reaches(
-    state: _Relaxed, t: float, depth: int, deadline: Optional[Deadline]
-) -> bool:
+def _reaches(state: _Relaxed, t: float, depth: int, deadline: Deadline) -> bool:
     """bound_reaches on `state`, which it closes first (and may consume)."""
-    if deadline is not None and deadline.expired():
+    if deadline.expired():
         raise TimeoutError
     state.close()
     if not state.left:
@@ -370,7 +366,7 @@ def _reaches(
 
 
 def _branches_reach(
-    state: _Relaxed, t: float, depth: int, deadline: Optional[Deadline]
+    state: _Relaxed, t: float, depth: int, deadline: Deadline
 ) -> bool:
     """Whether close(state + v) reaches t - 1 at depth - 1 for every level v.
 
@@ -386,7 +382,7 @@ def _branches_reach(
 
 
 def greedy_roots(
-    inst: Instance, deadline: Optional[Deadline] = None
+    inst: Instance, deadline: Deadline = Deadline(None)
 ) -> tuple[Optional[tuple[VertexOrder, OrderReport]], list[Clique]]:
     """The greedy order, and the initial (K+1)-cliques ranked by greedy.
 
@@ -400,21 +396,21 @@ def greedy_roots(
     completed so far.  A completion with 1 double stops it: rank K is a
     double in every order, so no clique can do better, and the first
     such completion is the one the full pass would return.  And the
-    deadline (None: no limit) is polled after each completion; once it
+    deadline (by default none) is polled after each completion; once it
     has expired, the best completion so far is returned.  A pass cut by
     the deadline with no completion does not prove infeasibility, so the
     caller must poll the deadline itself before reading None that way.
     """
     best: Optional[tuple[VertexOrder, OrderReport]] = None
     scored = []
-    for clique in enumerate_cliques(inst, inst.K + 1):
+    for clique in iter_cliques(inst, inst.K + 1):
         got = greedy_from_clique(inst, clique)
         scored.append((got[1].double_count if got else inst.n + 1, clique))
         if got is not None and (best is None or got[1].double_count < best[1].double_count):
             best = got
             if best[1].double_count == 1:
                 break
-        if deadline is not None and deadline.expired():
+        if deadline.expired():
             break
     return best, [c for _, c in sorted(scored, key=lambda s: s[0])]
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import astuple, dataclass, field, fields
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .order import DoublePattern, VertexOrder
+if TYPE_CHECKING:  # order imports Deadline from this module
+    from .order import DoublePattern, VertexOrder
 
 OBJECTIVES = ("min-double", "min-nodes")
 

@@ -15,11 +15,10 @@ every complete leaf of the master's tree, and a cut separated there
 joins the live pool without restarting the search.  Cutting the
 refuted leaves converges to an optimal order; the extended validator
 checks an accepted (clique, witnesses, doubles, order) against the full
-one-shot constraint set.  Witness reads no presolve: one greedy pass
-decides feasibility and gives the master its strict cutoff and its
+one-shot constraint set.  One greedy pass decides feasibility and gives the master its strict cutoff and its
 ranked roots; a greedy order with the 1 double every order has needs
-no master at all.  Before the master, every root gets its root_bound,
-each root one below the cutoff is asked whether the depth-3 lookahead
+no master at all.  Before the master, every root gets its root_bound
+(the value `ddvop presolve` prints), each root one below the cutoff is asked whether the depth-3 lookahead
 (order.bound_reaches) reaches it, and the master skips a root whose bound
 reaches the cutoff: no order from it can beat the incumbent.  The cut
 pool is seeded with the cut of every 2-cycle (two neighbors witness
@@ -452,7 +451,7 @@ def solve_witness(
     each relaxation pass; on TIMEOUT the incumbent is the best greedy
     order, or none, and lower_bound is 1 + the least root bound known
     when the deadline expired (the roots lifted so far count), or 1 when
-    it expired before the one-step pass ended.  No presolve runs.
+    it expired before the one-step pass ended.
     """
     stats = SolveStats()
     t0 = time.monotonic()

@@ -17,6 +17,7 @@ from typing import Optional
 import pytest
 
 from ddvop.dfs_solver import Solution, solve
+from ddvop.graph import Clique
 from ddvop.harness import METHODS, solve_with_method
 from ddvop.instgen import (
     GenerationError,
@@ -222,19 +223,20 @@ def test_lower_bound_below_optimum(corpus_runs):
 
 
 def test_criterion_06_presolve_soundness(corpus_runs):
+    # Every root bound the presolve prints holds for every optimal order
+    # from that root, and its infeasible verdict is the oracle's.
     runs, _ = corpus_runs
     for name, run in runs.items():
         result = full_presolve(run.inst)
-        if run.oracle_value is None:
-            continue
-        assert not result.infeasible, name
+        assert result.infeasible == (run.oracle_value is None), name
+        bounds = dict(result.bounds)
+        K = run.inst.K
         for order in run.optimal_orders:
-            bits = check_order(run.inst, order).doubles.bits
-            assert result.satisfied_by(bits), (name, order.perm)
-        # Optima already match the presolve-free oracle per criterion 5.
-        # No solver reads presolve, so its soundness is checked against
-        # the oracle's optimal orders alone; the decompositions' values
-        # are re-checked beside it.
+            root = Clique(tuple(sorted(order.perm[: K + 1])))
+            past_k = check_order(run.inst, order).double_count - 1
+            assert past_k >= bounds[root], (name, order.perm)
+        # Optima already match the oracle per criterion 5; the
+        # decompositions' values are re-checked beside it.
         for method in ("naive", "witness"):
             sol = run.solutions[method]
             if sol.status == "OPTIMAL":

@@ -74,13 +74,16 @@ def test_solve_flags(g6a_file, capsys):
     assert main(argv) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "s OPTIMAL 2 12"
-    # Solvers take no tuning flag beyond --time-limit, and pareto none.
+    # Solvers take no tuning flag beyond --time-limit, pareto and presolve
+    # none.
     for argv in (
         ["solve", g6a_file, "--no-presolve"],
         ["solve", g6a_file, "--pre-break"],
         ["solve", g6a_file, "--method", "naive", "--nogood"],
         ["solve", g6a_file, "--method", "oracle", "--cap", "12"],
         ["pareto", g6a_file, "--cap", "12"],
+        ["presolve", g6a_file, "--no-head"],
+        ["presolve", g6a_file, "--clique-budget", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -155,17 +158,16 @@ def test_presolve(g6a_file, capsys):
     assert main(["presolve", g6a_file]) == 0
     out, _ = capsys.readouterr()
     assert out.splitlines() == [
-        "fix y[0]=0",
-        "fix y[1]=0",
-        "fix y[2]=1",
-        "cut y[3]+y[4]+y[5]>=1",
+        "root 0 1 2 bound 1",
+        "root 0 1 5 bound 1",
+        "root 0 2 5 bound 1",
+        "root 1 2 3 bound 1",
+        "root 1 2 5 bound 1",
+        "root 1 3 5 bound 1",
+        "root 2 3 4 bound 1",
+        "root 2 3 5 bound 1",
+        "lower_bound 2",
     ]
-
-
-def test_presolve_no_head(g6a_file, capsys):
-    assert main(["presolve", g6a_file, "--no-head"]) == 0
-    out, _ = capsys.readouterr()
-    assert "cut" not in out
 
 
 def test_gen_random_round_trip(tmp_path, capsys):
@@ -299,9 +301,22 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["bench", "{g6a}", "--time-limit", "-1"],
         ["pareto", "/nonexistent/file.dvop"],
         ["profile", "/nonexistent/bench.csv"],
+        ["presolve", "{k100}"],
+        ["presolve", "{p501}"],
     ],
 )
-def test_usage_errors_exit_2(argv, g6a_file, capsys):
+def test_usage_errors_exit_2(argv, g6a_file, tmp_path, capsys):
+    # K_100 has past presolve.MAX_ROOTS initial cliques; a 501-path is
+    # past harness.MAX_N.
+    builds = {
+        "{k100}": lambda: Instance.build(100, 3, complete_edges(100)),
+        "{p501}": lambda: Instance.build(MAX_N + 1, 1, path_edges(MAX_N + 1)),
+    }
+    for i, a in enumerate(argv):
+        if a in builds:
+            path = tmp_path / "inst.dvop"
+            path.write_text(render_instance(builds[a]()))
+            argv[i] = str(path)
     argv = [a.format(g6a=g6a_file) if "{g6a}" in a else a for a in argv]
     assert main(argv) == 2
     _, err = capsys.readouterr()

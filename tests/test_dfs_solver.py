@@ -115,7 +115,7 @@ def test_stops_at_first_floor_root(name, objective, request, monkeypatch):
     # first one at the floor: that many roots are searched, no more.
     roots = enumerate_cliques(inst, inst.K + 1)
     for searched, root in enumerate(roots, 1):
-        monkeypatch.setattr(dfs_solver, "enumerate_cliques", lambda i, s: [root])
+        monkeypatch.setattr(dfs_solver, "iter_cliques", lambda i, s: iter([root]))
         if solve(inst, objective).objective == sol.objective:
             break
     assert sol.stats.cliques_considered == searched < len(roots)

@@ -18,7 +18,6 @@ from ddvop.graph import (
     VertexRangeError,
     enumerate_cliques,
     extendable_k_cliques,
-    min_degree,
     parse_instance,
     render_instance,
 )
@@ -39,7 +38,7 @@ def test_parse_complete_k4():
     text = "p dvop 4 6 2\n" + "".join(f"e {u} {v}\n" for u, v in complete_edges(4))
     inst = parse_instance(text)
     assert inst.m == 6
-    assert min_degree(inst) == 3
+    assert all(inst.degree(v) == 3 for v in range(4))
 
 
 def test_parse_comments_and_name():
@@ -109,12 +108,6 @@ def test_extendable_k_cliques(g6a, p5_k2):
             set(c.members) < set(t.members) for t in enumerate_cliques(g6a, 3)
         )
     assert extendable_k_cliques(p5_k2) == []
-
-
-def test_min_degree_examples(g6a, k5, p5_k1):
-    assert min_degree(g6a) == 2
-    assert min_degree(k5) == 4
-    assert min_degree(p5_k1) == 1
 
 
 @given(small_instances())

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -109,6 +110,21 @@ def test_solver_ceiling_admits_ceiling(method):
     sol = solve_with_method(inst, method, time_limit=0.2)
     assert sol.status in ("OPTIMAL", "TIMEOUT")
     assert check_order(inst, sol.order).is_dvop
+
+
+@pytest.fixture(scope="module")
+def dense50():
+    # 665 031 initial 5-cliques: listing them all took dfs about
+    # 1 s before its first deadline poll.
+    return gen_random(50, 0.9, 4, 1)
+
+
+@pytest.mark.parametrize("method", ["dfs", "witness", "naive"])
+def test_time_limit_covers_clique_enumeration(dense50, method):
+    t0 = time.monotonic()
+    sol = solve_with_method(dense50, method, time_limit=0.5)
+    assert time.monotonic() - t0 < 0.5
+    assert (sol.status, sol.objective) == ("OPTIMAL", 1)
 
 
 def test_bench_grid(g6a, g6b):

@@ -1,95 +1,90 @@
-"""Rank-variable presolve: base/tail fixings, head analysis, soundness.
+"""The per-root bound table: its values, exact infeasibility, soundness.
 
-The fixed sets below were derived by hand from the clique structure of
-each instance and confirmed against the full order enumeration.
+On the fixtures below every bound equals its root's optimum (the fewest
+doubles past rank K over the orders from that root), apart from the two
+inner roots of p5_k1, where the one-step bound is one short.
 """
 
-import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import small_instances
-from ddvop import graph
+from ddvop import graph, presolve
+from ddvop.graph import Clique, enumerate_cliques
 from ddvop.instgen import gen_random
-from ddvop.oracle import enumerate_valid_orders
-from ddvop.order import check_order
-from ddvop.presolve import (
-    DEFAULT_CLIQUE_BUDGET,
-    base_fixings,
-    full_presolve,
-    head_analysis,
-    tail_fixings,
-)
+from ddvop.oracle import brute_optimum, enumerate_valid_orders
+from ddvop.order import check_order, root_bound
+from ddvop.presolve import full_presolve
 
 
-def test_base_fixings(g6a, g5k3a):
-    assert base_fixings(g6a) == (frozenset({0, 1}), frozenset({2}))
-    assert base_fixings(g5k3a) == (frozenset({0, 1, 2}), frozenset({3}))
-
-
-def test_tail_fixings(g6a, k6):
-    assert tail_fixings(g6a) == frozenset()
-    assert tail_fixings(k6) == frozenset({3, 4, 5})
+def table(result):
+    return [(c.members, b) for c, b in result.bounds]
 
 
 def test_full_presolve_g5k3a(g5k3a):
     r = full_presolve(g5k3a)
-    assert r.fixed_zero == frozenset({0, 1, 2})
-    assert r.fixed_one == frozenset({3, 4})
-    assert r.cover_inequalities == ()
-    assert not r.infeasible and not r.skipped
+    assert table(r) == [((0, 1, 2, 3), 1), ((1, 2, 3, 4), 1)]
+    assert not r.infeasible
 
 
 def test_full_presolve_g5k3b(g5k3b):
     r = full_presolve(g5k3b)
-    assert r.fixed_zero == frozenset({0, 1, 2, 4})
-    assert r.fixed_one == frozenset({3})
-    assert r.cover_inequalities == ()
+    assert table(r) == [(c.members, 0) for c in enumerate_cliques(g5k3b, 4)]
+    assert len(r.bounds) == 5
 
 
 def test_full_presolve_g6k3(g6k3):
     r = full_presolve(g6k3)
-    assert r.fixed_zero == frozenset({0, 1, 2})
-    assert r.fixed_one == frozenset({3, 4, 5})
-    assert r.cover_inequalities == ()
+    assert table(r) == [((0, 1, 2, 3), 2), ((0, 1, 2, 5), 2), ((1, 2, 3, 4), 2)]
 
 
 def test_full_presolve_g6a(g6a):
     r = full_presolve(g6a)
-    assert r.fixed_zero == frozenset({0, 1})
-    assert r.fixed_one == frozenset({2})
-    assert r.cover_inequalities == (frozenset({3, 4, 5}),)
+    assert table(r) == [(c.members, 1) for c in enumerate_cliques(g6a, 3)]
+    assert len(r.bounds) == 8
 
 
 def test_full_presolve_k6(k6):
+    # The closure of any triangle is every vertex.
     r = full_presolve(k6)
-    assert r.fixed_zero == frozenset({0, 1, 3, 4, 5})
-    assert r.fixed_one == frozenset({2})
-    assert r.cover_inequalities == ()
+    assert table(r) == [(c.members, 0) for c in enumerate_cliques(k6, 3)]
+    assert len(r.bounds) == 20
 
 
 def test_full_presolve_p5(p5_k1, p5_k2):
     r = full_presolve(p5_k1)
-    assert r.fixed_zero == frozenset({0})
-    assert r.fixed_one == frozenset({1, 2, 3})
-    assert full_presolve(p5_k2).infeasible
+    assert table(r) == [((0, 1), 3), ((1, 2), 2), ((2, 3), 2), ((3, 4), 3)]
+    assert not r.infeasible
+    r = full_presolve(p5_k2)
+    assert r.bounds == () and r.infeasible
 
 
-def test_head_analysis_off(g6a):
-    r = full_presolve(g6a, use_head=False)
-    assert r.fixed_zero == frozenset({0, 1})
-    assert r.fixed_one == frozenset({2})
-    assert r.cover_inequalities == ()
-    assert not r.skipped
+def test_as_lines(g6a, p5_k2, g6a_k3):
+    assert full_presolve(g6a).as_lines() == [
+        "root 0 1 2 bound 1",
+        "root 0 1 5 bound 1",
+        "root 0 2 5 bound 1",
+        "root 1 2 3 bound 1",
+        "root 1 2 5 bound 1",
+        "root 1 3 5 bound 1",
+        "root 2 3 4 bound 1",
+        "root 2 3 5 bound 1",
+        "lower_bound 2",
+    ]
+    assert full_presolve(p5_k2).as_lines() == ["infeasible"]
+    # Roots that exist but cannot be completed.
+    lines = full_presolve(g6a_k3).as_lines()
+    assert lines[-1] == "infeasible"
+    assert len(lines) > 1 and all(line.endswith(" bound inf") for line in lines[:-1])
 
 
-def test_clique_budget_skips(g6a):
-    r = full_presolve(g6a, clique_budget=0)
-    assert r.skipped
-    assert r.fixed_one == frozenset({2})
-    assert "head analysis skipped (clique budget)" in r.as_lines()
+def test_clique_budget_bounds_enumeration(monkeypatch, g6a):
+    monkeypatch.setattr(presolve, "MAX_ROOTS", 8)
+    assert len(full_presolve(g6a).bounds) == 8
+    monkeypatch.setattr(presolve, "MAX_ROOTS", 7)
+    with pytest.raises(ValueError, match="more than 7 initial 3-cliques"):
+        full_presolve(g6a)
 
-
-def test_clique_budget_bounds_enumeration(monkeypatch):
     # This graph has 243765 4-cliques; one past the budget proves it spent.
     inst = gen_random(60, 0.9, 3, 1)
     built = []
@@ -100,57 +95,31 @@ def test_clique_budget_bounds_enumeration(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(graph, "Clique", CountedClique)
-    assert head_analysis(inst, clique_budget=10).skipped
-    assert len(built) <= 11
-
-
-def test_as_lines(g6a, p5_k2):
-    lines = full_presolve(g6a).as_lines()
-    assert lines == [
-        "fix y[0]=0",
-        "fix y[1]=0",
-        "fix y[2]=1",
-        "cut y[3]+y[4]+y[5]>=1",
-    ]
-    assert full_presolve(p5_k2).as_lines()[-1] == "infeasible"
-
-
-def test_satisfied_by(g6a):
-    r = full_presolve(g6a)
-    assert r.satisfied_by((0, 0, 1, 0, 1, 0))
-    assert not r.satisfied_by((1, 0, 1, 0, 1, 0))
-    assert not r.satisfied_by((0, 0, 0, 0, 1, 0))
-    assert not r.satisfied_by((0, 0, 1, 0, 0, 0))
+    monkeypatch.setattr(presolve, "MAX_ROOTS", 10)
+    with pytest.raises(ValueError):
+        full_presolve(inst)
+    assert len(built) == 11
 
 
 @settings(deadline=None)
 @given(small_instances())
-def test_presolve_sound_for_every_valid_order(inst):
-    total, walk = enumerate_valid_orders(inst)
-    res = full_presolve(inst)
-    if total == 0:
-        return
-    assert not res.infeasible
-    for order in walk:
-        report = check_order(inst, order)
-        assert res.satisfied_by(report.doubles.bits)
+def test_bounds_are_root_bounds(inst):
+    roots = enumerate_cliques(inst, inst.K + 1)
+    assert full_presolve(inst).bounds == tuple((c, root_bound(inst, c)) for c in roots)
 
 
 @settings(deadline=None)
 @given(small_instances())
 def test_presolve_infeasible_only_when_unsolvable(inst):
-    res = full_presolve(inst)
-    if res.infeasible:
-        count, _ = enumerate_valid_orders(inst)
-        assert count == 0
+    # Exact both ways: infeasible iff the oracle finds no valid order.
+    assert full_presolve(inst).infeasible == (brute_optimum(inst) is None)
 
 
 @settings(deadline=None)
 @given(small_instances())
-def test_head_analysis_subset_of_full(inst):
-    base = full_presolve(inst, use_head=False)
-    full = full_presolve(inst)
-    if full.infeasible or base.infeasible:
-        return
-    assert base.fixed_zero <= full.fixed_zero
-    assert base.fixed_one <= full.fixed_one
+def test_presolve_sound_for_every_valid_order(inst):
+    bounds = dict(full_presolve(inst).bounds)
+    _, walk = enumerate_valid_orders(inst)
+    for order in walk:
+        root = Clique(tuple(sorted(order.perm[: inst.K + 1])))
+        assert check_order(inst, order).double_count - 1 >= bounds[root]

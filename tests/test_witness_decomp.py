@@ -270,17 +270,15 @@ def test_greedy_once_per_root(separating, monkeypatch):
     ],
 )
 def test_reads_no_presolve(route, fixture, request, monkeypatch):
-    # Greedy decides witness's feasibility, and IIS cuts give naive's master
-    # what presolve would, so both return their frozen answer with presolve
-    # unreachable.
+    # Both compute their own root bounds, so they return their frozen
+    # answer with presolve unreachable.
     def refuse(*args, **kwargs):
         raise AssertionError(f"{route.__name__} called presolve")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ddvop"):
-            for attr in ("full_presolve", "head_analysis"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+            if hasattr(module, "full_presolve"):
+                monkeypatch.setattr(module, "full_presolve", refuse)
     sol = route(request.getfixturevalue(fixture))
     want = {f: (status, objective) for f, status, objective in FROZEN}
     assert (sol.status, sol.objective) == want[fixture]

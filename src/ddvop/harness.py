@@ -159,18 +159,28 @@ def _bench_task(
 
 
 def _assert_agreement(rows: Sequence[BenchRow], per_instance: int) -> None:
+    """Every instance's rows agree: OPTIMAL values are equal, no OPTIMAL or
+    TIMEOUT incumbent sits beside an INFEASIBLE verdict, and no TIMEOUT
+    incumbent is below an OPTIMAL value."""
     for start in range(0, len(rows), per_instance):
         group = rows[start : start + per_instance]
         finished = [r for r in group if r.status == "OPTIMAL"]
         infeasible = [r for r in group if r.status == "INFEASIBLE"]
+        incumbents = [
+            r for r in group if r.status == "TIMEOUT" and r.objective is not None
+        ]
         values = {r.objective for r in finished}
         assert len(values) <= 1, (
             f"optimal objectives disagree on {group[0].instance}: "
             + ", ".join(f"{r.method}={r.objective}" for r in finished)
         )
-        assert not (finished and infeasible), (
+        assert not ((finished or incumbents) and infeasible), (
             f"feasibility verdicts disagree on {group[0].instance}: "
             + ", ".join(f"{r.method}={r.status}" for r in group)
+        )
+        assert all(r.objective >= v for r in incumbents for v in values), (
+            f"a TIMEOUT incumbent beats an optimum on {group[0].instance}: "
+            + ", ".join(f"{r.method}={r.objective}" for r in finished + incumbents)
         )
 
 

@@ -20,11 +20,13 @@ ranked roots; a greedy order with the 1 double every order has needs
 no master at all.  Before the master, every root gets its root_bound
 (the value `ddvop presolve` prints), each root one below the cutoff is asked whether the depth-3 lookahead
 (order.bound_reaches) reaches it, and the master skips a root whose bound
-reaches the cutoff: no order from it can beat the incumbent.  The cut
-pool is seeded with the cut of every 2-cycle (two neighbors witness
-each other only inside the clique): the valid inequalities that
-strengthen the master from its first node, and the reason a vertex's
-users cannot be its witnesses in the forced-double bound.
+reaches the cutoff: no order from it can beat the incumbent.  The
+2-cycle inequalities (two neighbors witness each other only inside the
+clique) act as a domain filter, not as cuts: a vertex draws its
+witnesses only from its free neighbors, those not already using it, so
+the cut pool starts empty and holds only the cycles of three or more
+vertices separated at leaves.  The master branches on the unassigned
+vertex with the fewest free neighbors.
 """
 
 from __future__ import annotations
@@ -230,22 +232,6 @@ def sp2_check(
     return VertexOrder(tuple(sorted(state.clique)) + tuple(topo))
 
 
-def _witness_choices(
-    inst: Instance, clique: frozenset[int], v: int
-) -> list[tuple[frozenset[int], int]]:
-    """Witness-set candidates for one vertex: non-double sets first."""
-    forced = sorted(inst.neighbors[v] & clique)
-    others = sorted(inst.neighbors[v] - clique)
-    out: list[tuple[frozenset[int], int]] = []
-    for size, y in ((inst.K + 1, 0), (inst.K, 1)):
-        need = size - len(forced)
-        if need < 0 or need > len(others):
-            continue
-        for extra in itertools.combinations(others, need):
-            out.append((frozenset(forced) | frozenset(extra), y))
-    return out
-
-
 @dataclass
 class WitnessTrace:
     """Optional audit log of the master search.
@@ -272,28 +258,32 @@ def mp2_solve(
 
     One branch-and-check search.  Outer enumeration of the initial
     cliques `roots`, in the order given (solve_witness ranks them with
-    greedy_roots), inner DFS over witness sets per non-clique vertex
-    (most clique neighbors first; non-double choices before double ones,
-    each lexicographically).  `cutoff` counts y only, not the +1
-    constant, and is strict.  sp2_check orders every complete leaf: an
-    acyclic leaf becomes the incumbent and lowers the cutoff to its
-    count; a cyclic one appends its lifted cut to `cuts` (the live pool;
-    counted in stats.cuts and logged with its leaf in trace.cuts) and
-    the search goes on.
+    greedy_roots), inner DFS over witness sets per non-clique vertex.
+    The next vertex to branch on is the unassigned one with the fewest
+    free neighbors (ties: lowest index).  A vertex's free neighbors are
+    its clique neighbors, which it must use, and its non-clique
+    neighbors not already using it as a witness; its witness set is
+    drawn from them only, so no 2-cycle among non-clique vertices can
+    form.  Non-double choices (K+1-sets) come before double ones
+    (K-sets), each lexicographically.  `cutoff` counts y only, not the
+    +1 constant, and is strict.  sp2_check orders every complete leaf:
+    an acyclic leaf becomes the incumbent and lowers the cutoff to its
+    count; a cyclic one appends its lifted cut (three or more arcs) to
+    `cuts` (the live pool, which may start non-empty; counted in
+    stats.cuts and logged with its leaf in trace.cuts) and the search
+    goes on.
 
     A root is skipped when its `bounds` entry (a lower bound on its
     doubles past rank K, aligned with `roots`; None: no root bound)
     reaches the cutoff.  Branches are pruned on cuts whose left side
-    exceeds the right, and by the forced-double bound: an unassigned vertex w with exactly K
-    neighbors not already using w as a witness must be a double, and
-    one with fewer can take no witness set.  A neighbor that uses w
-    cannot also witness w, because the two arcs form a 2-cycle among
-    non-clique vertices, which the seeded 2-cycle cuts forbid and
-    sp2_check would refute.  The deadline is polled at every root and
-    every node.  Absent when every state is pruned.
+    exceeds the right, and by the forced-double bound: an unassigned
+    vertex with exactly K free neighbors must be a double, and one with
+    fewer can take no witness set.  The deadline is polled at every root
+    and every node.  Absent when every state is pruned.
     """
     n, K = inst.n, inst.K
     best: Optional[tuple[WitnessState, VertexOrder]] = None
+    adj = [sorted(inst.neighbors[v]) for v in range(n)]
     arcs_by_cut: dict[Arc, list[int]] = {}
 
     def index(ci: int) -> None:
@@ -314,13 +304,10 @@ def mp2_solve(
         clique_arcs = [
             (v, u) for v in cl.members for u in cl.members if u != v
         ]
-        rest = sorted(
-            (v for v in range(n) if v not in members),
-            key=lambda v: (-len(inst.neighbors[v] & members), v),
-        )
+        rest = [v for v in range(n) if v not in members]
         # free[w]: neighbors of w not using w as a witness; forced and
         # dead count the unassigned vertices with free == K and < K.
-        free = [len(inst.neighbors[v]) for v in range(n)]
+        free = [len(adj[v]) for v in range(n)]
         forced = sum(1 for v in rest if free[v] == K)
         dead = sum(1 for v in rest if free[v] < K)
         if dead or forced >= cutoff:
@@ -332,25 +319,20 @@ def mp2_solve(
         ]
         if any(l > r for l, r in zip(cut_lhs, cut_rhs)):
             continue
-        # pos[u] > idx exactly when u is a non-clique vertex not yet
-        # assigned at depth idx.
-        pos = [-1] * n
-        for i, v in enumerate(rest):
-            pos[v] = i
-        choices = {v: _witness_choices(inst, members, v) for v in rest}
-        assigned: dict[int, tuple[frozenset[int], int]] = {}
+        unassigned = [v not in members for v in range(n)]
+        # wit[v], ys[v]: the witness set and double bit v took.
+        wit: list[tuple[int, ...]] = [()] * n
+        ys = [0] * n
 
         def leaf(ycount: int) -> None:
             nonlocal best, cutoff
             arcs = list(clique_arcs)
-            doubles = [0] * n
-            for v, (wset, y) in assigned.items():
-                doubles[v] = y
-                arcs.extend((v, u) for u in wset)
+            for v in rest:
+                arcs.extend((v, u) for u in wit[v])
             state = WitnessState(
                 clique=members,
                 witness_arcs=frozenset(arcs),
-                doubles=tuple(doubles),
+                doubles=tuple(ys),
             )
             got = sp2_check(inst, state)
             if isinstance(got, VertexOrder):
@@ -368,62 +350,73 @@ def mp2_solve(
             cut_rhs.append(cut.rhs(members))
             cut_lhs.append(sum(1 for a in cut.arcs if a in state.witness_arcs))
 
-        def rec(idx: int, ycount: int) -> None:
+        def rec(depth: int, ycount: int) -> None:
             nonlocal forced, dead
             if deadline.expired():
                 raise TimeoutError
             if ycount + forced >= cutoff:
                 return
-            if idx == len(rest):
+            if depth == len(rest):
                 leaf(ycount)
                 return
-            v = rest[idx]
+            # Every unassigned vertex has free >= K here (dead == 0), so
+            # the first one with exactly K ends the scan.
+            v, least = -1, n
+            for w in rest:
+                if unassigned[w] and free[w] < least:
+                    v, least = w, free[w]
+                    if least == K:
+                        break
             # v leaves the unassigned vertices while it takes a set.
-            own = free[v] == K
+            unassigned[v] = False
+            own = least == K
             forced -= own
-            for wset, y in choices[v]:
-                if ycount + y + forced >= cutoff:
-                    break
-                if stats is not None:
-                    stats.choice_points += 1
-                ok = True
-                for u in wset:
-                    for ci in arcs_by_cut.get((v, u), ()):
-                        cut_lhs[ci] += 1
-                        if cut_lhs[ci] > cut_rhs[ci]:
-                            ok = False
-                    if pos[u] > idx:
-                        free[u] -= 1
-                        if free[u] == K:
-                            forced += 1
-                        elif free[u] == K - 1:
-                            forced -= 1
-                            dead += 1
-                if ok and not dead:
-                    assigned[v] = (wset, y)
-                    rec(idx + 1, ycount + y)
-                    del assigned[v]
-                for u in wset:
-                    # Through the live index: a cut separated below this
-                    # assignment counted its arcs too.
-                    for ci in arcs_by_cut.get((v, u), ()):
-                        cut_lhs[ci] -= 1
-                    if pos[u] > idx:
-                        free[u] += 1
-                        if free[u] == K + 1:
-                            forced -= 1
-                        elif free[u] == K:
-                            forced += 1
-                            dead -= 1
+            must = tuple(u for u in adj[v] if u in members)
+            pool = [u for u in adj[v] if u not in members and v not in wit[u]]
+            for y in (0, 1):
+                need = K + 1 - y - len(must)
+                if need < 0:
+                    continue
+                for extra in itertools.combinations(pool, need):
+                    if ycount + y + forced >= cutoff:
+                        break
+                    if stats is not None:
+                        stats.choice_points += 1
+                    wset = must + extra
+                    ok = True
+                    for u in wset:
+                        for ci in arcs_by_cut.get((v, u), ()):
+                            cut_lhs[ci] += 1
+                            if cut_lhs[ci] > cut_rhs[ci]:
+                                ok = False
+                        if unassigned[u]:
+                            free[u] -= 1
+                            if free[u] == K:
+                                forced += 1
+                            elif free[u] == K - 1:
+                                forced -= 1
+                                dead += 1
+                    if ok and not dead:
+                        wit[v], ys[v] = wset, y
+                        rec(depth + 1, ycount + y)
+                        wit[v] = ()
+                    for u in wset:
+                        # Through the live index: a cut separated below this
+                        # assignment counted its arcs too.
+                        for ci in arcs_by_cut.get((v, u), ()):
+                            cut_lhs[ci] -= 1
+                        if unassigned[u]:
+                            free[u] += 1
+                            if free[u] == K + 1:
+                                forced -= 1
+                            elif free[u] == K:
+                                forced += 1
+                                dead -= 1
+            unassigned[v] = True
             forced += own
 
         rec(0, 0)
     return best
-
-
-def _seed_cuts(inst: Instance) -> list[CycleCut]:
-    """The cut of every 2-cycle, seeded before the master search."""
-    return [make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()]
 
 
 def solve_witness(
@@ -439,8 +432,8 @@ def solve_witness(
     double; it returns OPTIMAL with no master search either (iterations
     0): a master with cutoff 0 can find nothing.  Otherwise mp2_solve
     looks for a state with fewer doubles than the greedy order, starting
-    from the cut of every 2-cycle; stats.cuts and trace.cuts count only
-    the cuts it separates.  When it finds none, the greedy order is
+    from an empty cut pool, so stats.cuts and trace.cuts count every cut
+    in it.  When it finds none, the greedy order is
     optimal and its induced state is the accepted one.  A completed
     search sets iterations to 1, even when the root bounds skip every
     root.  The root bounds are root_bound's one-step values; a root one
@@ -479,9 +472,7 @@ def solve_witness(
                         bounds[i] = cutoff
             finally:
                 lower = 1 + min(bounds)
-            found = mp2_solve(
-                inst, roots, _seed_cuts(inst), cutoff, stats, deadline, trace, bounds
-            )
+            found = mp2_solve(inst, roots, [], cutoff, stats, deadline, trace, bounds)
             stats.iterations = 1
         if found is None:
             found = (induce_witness_state(inst, warm[0]), warm[0])

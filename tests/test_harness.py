@@ -239,6 +239,32 @@ HAND = [
 ]
 
 
+def agreement_error(rows):
+    try:
+        ddvop.harness._assert_agreement(rows, len(rows))
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_agreement_timeout_below_optimum():
+    # A TIMEOUT incumbent is a valid order, so it can match an optimum or
+    # exceed it, never beat it.
+    optimal = mk("i1", "a", "OPTIMAL", 3, 1.0)
+    assert agreement_error([optimal, mk("i1", "b", "TIMEOUT", 3, 1.0)]) is None
+    assert agreement_error([optimal, mk("i1", "b", "TIMEOUT", None, 1.0)]) is None
+    got = agreement_error([optimal, mk("i1", "b", "TIMEOUT", 2, 1.0)])
+    assert got is not None and "TIMEOUT incumbent" in got
+
+
+def test_agreement_timeout_incumbent_beside_infeasible():
+    # An incumbent proves a valid order exists; a TIMEOUT with none does not.
+    infeasible = mk("i1", "a", "INFEASIBLE", None, 1.0)
+    assert agreement_error([infeasible, mk("i1", "b", "TIMEOUT", None, 1.0)]) is None
+    got = agreement_error([infeasible, mk("i1", "b", "TIMEOUT", 4, 1.0)])
+    assert got is not None and "feasibility verdicts disagree" in got
+
+
 def test_profile_hand_built():
     pts = perf_profile(HAND)
     d = {(m, t): f for m, t, f in pts}

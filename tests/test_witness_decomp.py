@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import assert_timeout_incumbent, small_instances
 from ddvop import order as order_module
@@ -131,6 +131,11 @@ FROZEN = [
 ]
 
 
+def two_cycle_cuts(inst):
+    """The cut of every 2-cycle, one per edge."""
+    return [make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()]
+
+
 def three_cycle_cuts(inst):
     """The cuts of both directions of every triangle."""
     cuts = []
@@ -143,16 +148,21 @@ def three_cycle_cuts(inst):
 @pytest.mark.parametrize("fixture,status,objective", FROZEN)
 @pytest.mark.parametrize("seeds", ["none", "2cycles", "2and3cycles"])
 def test_frozen_objectives(fixture, status, objective, seeds, request, monkeypatch):
-    # solve_witness seeds the 2-cycle cuts.  Every seed pool holds valid
-    # cuts only, so the frozen answers must not depend on which one the
-    # loop starts from.
-    two = witness_decomp._seed_cuts
+    # solve_witness starts its master from an empty pool.  Every seed pool
+    # holds valid cuts only, so the frozen answers must not depend on
+    # which one the master starts from.
     pools = {
         "none": lambda i: [],
-        "2cycles": two,
-        "2and3cycles": lambda i: two(i) + three_cycle_cuts(i),
+        "2cycles": two_cycle_cuts,
+        "2and3cycles": lambda i: two_cycle_cuts(i) + three_cycle_cuts(i),
     }
-    monkeypatch.setattr(witness_decomp, "_seed_cuts", pools[seeds])
+    master = witness_decomp.mp2_solve
+
+    def seeded(inst, roots, cuts, *args):
+        assert cuts == []
+        return master(inst, roots, pools[seeds](inst), *args)
+
+    monkeypatch.setattr(witness_decomp, "mp2_solve", seeded)
     inst = request.getfixturevalue(fixture)
     sol = solve_witness(inst)
     assert sol.status == status
@@ -211,25 +221,72 @@ def test_master_alone_is_exact(args, pool):
     # an assignment must also decrement it; a stale left side over-prunes.
     inst = gen_random(*args)
     _, roots = greedy_roots(inst)
-    cuts = [] if pool == "empty" else witness_decomp._seed_cuts(inst)
+    cuts = [] if pool == "empty" else two_cycle_cuts(inst)
     state, order = mp2_solve(inst, roots, cuts, inst.n)
     assert check_order(inst, order).double_count == state.y_sum + 1
     assert state.y_sum + 1 == brute_optimum(inst, "min-double").value
 
 
+# Optimum 2 needs a vertex to use a neighbor assigned before it; a master
+# that drew witnesses only from unassigned neighbors would answer 3.
+LATE_WITNESS = Instance.build(
+    8,
+    1,
+    [(0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (3, 4),
+     (3, 5), (4, 6), (4, 7), (6, 7)],
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances())
+@example(LATE_WITNESS)
+def test_master_alone_matches_oracle(inst):
+    # From an empty pool, every root and no cutoff, the master by itself
+    # finds the optimum, or nothing exactly when no valid order exists.
+    ref = brute_optimum(inst, "min-double")
+    found = mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), [], inst.n)
+    if ref is None:
+        assert found is None
+    else:
+        state, order = found
+        assert state.y_sum + 1 == check_order(inst, order).double_count == ref.value
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances())
+def test_master_forms_no_two_cycle(inst):
+    # Witnesses come from free neighbors only, so no leaf holds a pair of
+    # arcs (v, u), (u, v) between non-clique vertices, and every cut the
+    # master separates closes a cycle of three or more arcs.
+    leaves = []
+
+    def check(inst, state):
+        leaves.append(state)
+        return sp2_check(inst, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_decomp, "sp2_check", check)
+        cuts = []
+        mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), cuts, inst.n)
+    for state in leaves:
+        for v, u in state.witness_arcs:
+            if v not in state.clique and u not in state.clique:
+                assert (u, v) not in state.witness_arcs
+    assert all(len(cut.arcs) >= 3 for cut in cuts)
+
+
 @pytest.fixture
 def separating():
-    """An instance whose master, with no root bounds, separates cycle cuts
-    past the 2-cycle seeds (two), over 24 root cliques.  The root bounds
-    skip every root, so solve_witness separates none."""
+    """An instance whose master, with no root bounds, separates two
+    3-cycle cuts over 24 root cliques.  The root bounds skip every root,
+    so solve_witness separates none."""
     return gen_synthetic(3, 2, 0.1, 9, 11)
 
 
 @pytest.fixture
 def cutting():
-    """An acceptance instance whose master separates cycle cuts past the
-    2-cycle seeds with every root bound on; its greedy order (5 doubles)
-    is optimal."""
+    """An acceptance instance whose master separates 3- and 4-cycle cuts
+    with every root bound on; its greedy order (5 doubles) is optimal."""
     return gen_random(10, 0.5, 3, 123)
 
 
@@ -239,6 +296,7 @@ def test_trace_hooks(cutting):
     assert sol.status == "OPTIMAL" and sol.objective == 5
     assert sol.stats.iterations == 1 and sol.stats.cuts >= 1
     assert len(trace.cuts) == sol.stats.cuts
+    assert {len(cut.arcs) for cut, _ in trace.cuts} == {3, 4}
     assert len(trace.accepted) == 1
     state, order = trace.accepted[0]
     assert ef_validate(cutting, state, order)

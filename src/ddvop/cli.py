@@ -230,9 +230,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return HANDLERS[ns.command](ns)
-    except (ValueError, FileNotFoundError) as exc:
-        # ParseError, GenerationError, UsageError, CapExceededError and
-        # presolve's refusal are all ValueErrors.
+    except (ValueError, OSError) as exc:
+        # ParseError, GenerationError, UsageError, CapExceededError,
+        # ModelTooLargeError and presolve's refusal are all ValueErrors;
+        # a missing file or a directory path is an OSError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

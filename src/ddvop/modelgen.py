@@ -39,8 +39,12 @@ CLIQUE_MODELS = ("cycles", "ranks", "ccg")  # the models that read unordered_cli
 # Measured, `export --model ip` on gen_random(n, 0.5, 3, 1) (Python 3.11,
 # 20 MB rss before the export): n = 30 wrote 0.39 M coefficients and
 # peaked at 37 MB rss, n = 38 0.99 M at 65 MB, n = 40 (ceiling lifted)
-# 1.2 M at 75 MB.  So ip stops between n = 38 and 39, and a refused export
-# (n = 45 or 100) peaks at 36 MB.
+# 1.2 M at 75 MB.  So ip stops between n = 38 and 39.  A refused export
+# peaks at 35 MB rss for n <= 100 and builds more the larger n is: a
+# 707-vertex path peaks at 88 MB.  From n = 708 the 2n^2 assign
+# coefficients alone pass the ceiling, and ip refuses before building
+# anything.  cycles, ranks and ccg refuse before building their clique
+# labelings when the labelings alone pass it.
 MAX_NONZEROS = 1_000_000
 
 Term = tuple[int, str]
@@ -48,6 +52,13 @@ Term = tuple[int, str]
 
 class ModelTooLargeError(ValueError):
     """An export would write more than MAX_NONZEROS constraint coefficients."""
+
+
+def _refuse_past_ceiling(nonzeros: int) -> None:
+    if nonzeros > MAX_NONZEROS:
+        raise ModelTooLargeError(
+            f"the model passes the export ceiling of {MAX_NONZEROS} nonzeros"
+        )
 
 
 class _Lp:
@@ -79,10 +90,7 @@ class _Lp:
         """Store a row.  terms is kept, not copied: callers never change it after."""
         assert sense in ("<=", ">=", "=")
         self.nonzeros += len(terms)
-        if self.nonzeros > MAX_NONZEROS:
-            raise ModelTooLargeError(
-                f"the model passes the export ceiling of {MAX_NONZEROS} nonzeros"
-            )
+        _refuse_past_ceiling(self.nonzeros)
         self.cons.append((name, terms, sense, rhs))
         self.con_counts[family] += 1
 
@@ -183,15 +191,15 @@ def ordered_extendable_cliques(
     The linking coefficient depends on each member's rank inside the
     clique, so every labeling is a distinct candidate; the unordered
     variant keeps only the sorted labeling as a size-saving
-    approximation.
+    approximation.  The pick_clique row holds one coefficient per
+    labeling, so ModelTooLargeError refuses the labelings before they are
+    built when that row alone passes MAX_NONZEROS.
     """
-    out: list[tuple[int, ...]] = []
-    for cl in extendable_k_cliques(inst):
-        if unordered:
-            out.append(cl.members)
-        else:
-            out.extend(itertools.permutations(cl.members))
-    return out
+    roots = extendable_k_cliques(inst)
+    if unordered:
+        return [cl.members for cl in roots]
+    _refuse_past_ceiling(len(roots) * math.factorial(inst.K))
+    return [p for cl in roots for p in itertools.permutations(cl.members)]
 
 
 def _kappa_name(c: tuple[int, ...]) -> str:
@@ -219,6 +227,9 @@ def _header(inst: Instance, model: str) -> list[str]:
 
 def _export_ip(inst: Instance, with_nodes: bool) -> _Lp:
     n, K = inst.n, inst.K
+    # The 2n assign rows alone hold 2n^2 coefficients: refuse before the
+    # n^2 x-terms are built when they pass the ceiling.
+    _refuse_past_ceiling(2 * n * n)
     lp = _Lp(_header(inst, "minnodes" if with_nodes else "ip"))
     if with_nodes:
         lp.obj_terms = [(1, f"m_{r}") for r in range(n)]

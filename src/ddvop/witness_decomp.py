@@ -7,9 +7,9 @@ clique, every neighbor of a clique vertex must use it as a witness, and
 the number of doubles is the number of K-sized witness sets (plus the
 one double the clique itself always forces).  The subproblem orders the
 witness digraph topologically; a directed cycle among non-clique
-vertices refutes the assignment and yields a lifted cycle-breaking cut:
-the lift term allows cycles that fit inside the clique, where witnesses
-are mutual by design.  Master and subproblem run as one
+vertices refutes the assignment and yields a cycle-breaking cut, which
+counts only arcs whose tail is outside the clique, so it needs no lift
+(CycleCut gives the three cases).  Master and subproblem run as one
 branch-and-check search (Thorsteinsson, CP 2001): the subproblem checks
 every complete leaf of the master's tree, and a cut separated there
 joins the live pool without restarting the search.  Cutting the
@@ -64,49 +64,42 @@ class WitnessState:
 
 @dataclass(frozen=True)
 class CycleCut:
-    """Lifted cycle-breaking inequality over witness arcs.
+    """Cycle-breaking inequality over the witness arcs of a simple cycle.
 
-    sum of w over arcs <= |cycle| - 1, relaxed by kappa of the smallest
-    cycle vertex when the cycle is small enough to fit in the clique.
+    A state satisfies it when at most |cycle| - 1 of the cycle's arcs it
+    holds have their tail (the witnessed vertex) outside its clique.  No
+    lift is needed.  A cycle inside the clique, where witnesses are
+    mutual by design, counts no arc.  One that meets the clique and
+    leaves it has an arc with a clique tail, which the master never
+    chooses, so it counts at most |cycle| - 1.  Only a cycle that avoids
+    the clique can bind, and no valid order holds all its arcs.
     """
 
     arcs: tuple[Arc, ...]
-    lift_vertex: int
-    lifted: bool
+
+    def __post_init__(self) -> None:
+        arcs = tuple(self.arcs)
+        object.__setattr__(self, "arcs", arcs)
+        succ = dict(arcs)
+        if not arcs or len(succ) != len(arcs):
+            raise ValueError("not a simple cycle")
+        v = arcs[0][0]
+        for _ in arcs:
+            if v not in succ:
+                raise ValueError("arcs do not close a single cycle")
+            v = succ.pop(v)
+        if v != arcs[0][0]:
+            raise ValueError("arcs do not close a single cycle")
 
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.arcs)
 
-    def rhs(self, clique: frozenset[int]) -> int:
-        bonus = 1 if (self.lifted and self.lift_vertex in clique) else 0
-        return len(self.vertices) - 1 + bonus
-
     def satisfied_by(self, state: WitnessState) -> bool:
-        lhs = sum(1 for a in self.arcs if a in state.witness_arcs)
-        return lhs <= self.rhs(state.clique)
-
-
-def make_cycle_cut(cycle: Sequence[Arc], K: int) -> CycleCut:
-    """Build the lifted cut for a simple directed cycle of witness arcs."""
-    arcs = tuple(cycle)
-    if not arcs:
-        raise ValueError("empty cycle")
-    tails = [v for v, _ in arcs]
-    if len(set(tails)) != len(tails):
-        raise ValueError("not a simple cycle")
-    succ = dict(arcs)
-    v = arcs[0][0]
-    seen = []
-    for _ in range(len(arcs)):
-        seen.append(v)
-        if v not in succ:
-            raise ValueError("arcs do not close a single cycle")
-        v = succ[v]
-    if v != arcs[0][0] or set(seen) != set(tails):
-        raise ValueError("arcs do not close a single cycle")
-    verts = frozenset(tails)
-    return CycleCut(arcs=arcs, lift_vertex=min(verts), lifted=len(verts) <= K + 1)
+        lhs = sum(
+            1 for a in self.arcs if a in state.witness_arcs and a[0] not in state.clique
+        )
+        return lhs <= len(self.arcs) - 1
 
 
 def state_violations(inst: Instance, state: WitnessState) -> list[str]:
@@ -268,15 +261,19 @@ def mp2_solve(
     (K-sets), each lexicographically.  `cutoff` counts y only, not the
     +1 constant, and is strict.  sp2_check orders every complete leaf:
     an acyclic leaf becomes the incumbent and lowers the cutoff to its
-    count; a cyclic one appends its lifted cut (three or more arcs) to
-    `cuts` (the live pool, which may start non-empty; counted in
-    stats.cuts and logged with its leaf in trace.cuts) and the search
-    goes on.
+    count; a cyclic one appends its cut (three or more arcs) to `cuts`
+    (the live pool, which may start non-empty; counted in stats.cuts and
+    logged with its leaf in trace.cuts) and the search goes on.  A cut
+    counts its chosen arcs with a tail outside the root's clique against
+    |cycle| - 1; only a cycle that avoids the clique can prune (see
+    CycleCut).  Each cut's slack is set once per call and kept by the
+    choices alone; a separated cut enters at -1, as its leaf chose every
+    arc of its cycle.
 
     A root is skipped when its `bounds` entry (a lower bound on its
     doubles past rank K, aligned with `roots`; None: no root bound)
-    reaches the cutoff.  Branches are pruned on cuts whose left side
-    exceeds the right, and by the forced-double bound: an unassigned
+    reaches the cutoff.  Branches are pruned on cuts whose slack falls
+    below 0, and by the forced-double bound: an unassigned
     vertex with exactly K free neighbors must be a double, and one with
     fewer can take no witness set.  The deadline is polled at every root
     and every node.  Absent when every state is pruned.
@@ -285,13 +282,18 @@ def mp2_solve(
     best: Optional[tuple[WitnessState, VertexOrder]] = None
     adj = [sorted(inst.neighbors[v]) for v in range(n)]
     arcs_by_cut: dict[Arc, list[int]] = {}
+    # slack[ci]: |cycle| - 1 less the cut's arcs now chosen.  Only
+    # non-clique vertices choose arcs, and every choice is undone before
+    # the next root, so no root recounts the pool.
+    slack: list[int] = []
 
-    def index(ci: int) -> None:
-        for a in cuts[ci].arcs:
-            arcs_by_cut.setdefault(a, []).append(ci)
+    def index(cut: CycleCut, chosen: int) -> None:
+        for a in cut.arcs:
+            arcs_by_cut.setdefault(a, []).append(len(slack))
+        slack.append(len(cut.arcs) - 1 - chosen)
 
-    for ci in range(len(cuts)):
-        index(ci)
+    for cut in cuts:
+        index(cut, 0)
 
     for i, cl in enumerate(roots):
         if deadline.expired():
@@ -311,13 +313,6 @@ def mp2_solve(
         forced = sum(1 for v in rest if free[v] == K)
         dead = sum(1 for v in rest if free[v] < K)
         if dead or forced >= cutoff:
-            continue
-        cut_rhs = [c.rhs(members) for c in cuts]
-        cut_lhs = [
-            sum(1 for a in c.arcs if a[0] in members and a[1] in members)
-            for c in cuts
-        ]
-        if any(l > r for l, r in zip(cut_lhs, cut_rhs)):
             continue
         unassigned = [v not in members for v in range(n)]
         # wit[v], ys[v]: the witness set and double bit v took.
@@ -339,16 +334,15 @@ def mp2_solve(
                 best = (state, got)
                 cutoff = ycount
                 return
-            cut = make_cycle_cut(got, K)
+            cut = CycleCut(got)
             assert not cut.satisfied_by(state)
             if stats is not None:
                 stats.cuts += 1
             if trace is not None:
                 trace.cuts.append((cut, state))
             cuts.append(cut)
-            index(len(cuts) - 1)
-            cut_rhs.append(cut.rhs(members))
-            cut_lhs.append(sum(1 for a in cut.arcs if a in state.witness_arcs))
+            # The leaf chose every arc of its cycle.
+            index(cut, len(cut.arcs))
 
         def rec(depth: int, ycount: int) -> None:
             nonlocal forced, dead
@@ -386,8 +380,8 @@ def mp2_solve(
                     ok = True
                     for u in wset:
                         for ci in arcs_by_cut.get((v, u), ()):
-                            cut_lhs[ci] += 1
-                            if cut_lhs[ci] > cut_rhs[ci]:
+                            slack[ci] -= 1
+                            if slack[ci] < 0:
                                 ok = False
                         if unassigned[u]:
                             free[u] -= 1
@@ -404,7 +398,7 @@ def mp2_solve(
                         # Through the live index: a cut separated below this
                         # assignment counted its arcs too.
                         for ci in arcs_by_cut.get((v, u), ()):
-                            cut_lhs[ci] -= 1
+                            slack[ci] += 1
                         if unassigned[u]:
                             free[u] += 1
                             if free[u] == K + 1:

@@ -303,11 +303,12 @@ def test_bench_and_profile(g6a_file, p5_k2_file, tmp_path, capsys):
         ["profile", "/nonexistent/bench.csv"],
         ["presolve", "{k100}"],
         ["presolve", "{p501}"],
+        ["solve", "{dir}"],
     ],
 )
 def test_usage_errors_exit_2(argv, g6a_file, tmp_path, capsys):
     # K_100 has past presolve.MAX_ROOTS initial cliques; a 501-path is
-    # past harness.MAX_N.
+    # past harness.MAX_N; {dir} is a directory, not an instance file.
     builds = {
         "{k100}": lambda: Instance.build(100, 3, complete_edges(100)),
         "{p501}": lambda: Instance.build(MAX_N + 1, 1, path_edges(MAX_N + 1)),
@@ -317,7 +318,7 @@ def test_usage_errors_exit_2(argv, g6a_file, tmp_path, capsys):
             path = tmp_path / "inst.dvop"
             path.write_text(render_instance(builds[a]()))
             argv[i] = str(path)
-    argv = [a.format(g6a=g6a_file) if "{g6a}" in a else a for a in argv]
+    argv = [a.format(g6a=g6a_file, dir=tmp_path) for a in argv]
     assert main(argv) == 2
     _, err = capsys.readouterr()
     assert err.startswith("error:")

@@ -8,14 +8,15 @@ the expected objective value.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import ddvop.modelgen as modelgen
-from conftest import small_instances
-from ddvop.graph import extendable_k_cliques
+from conftest import complete_edges, path_edges, small_instances
+from ddvop.graph import Instance, extendable_k_cliques
 from ddvop.modelgen import (
     CLIQUE_MODELS,
     MODELS,
@@ -401,3 +402,28 @@ def test_minnodes_least_levels_cost_the_level_counts(fixture, request):
         ok, obj, violations = evaluate(prog, values)
         assert ok, violations[:5]
         assert obj == sum(minnodes_level_counts(inst.K, report.doubles.bits))
+
+
+@pytest.mark.parametrize(
+    "model,n,K,edges",
+    [
+        # K_8 has 28 extendable 6-cliques, 6! labelings each: 20 160.
+        ("cycles", 8, 6, complete_edges(8)),
+        # 2 * 101^2 = 20 402 assign coefficients.
+        ("ip", 101, 1, path_edges(101)),
+    ],
+    ids=["labelings", "assign"],
+)
+def test_export_refused_before_building(model, n, K, edges, monkeypatch):
+    # With the ceiling at 20 000 the pick_clique row (one coefficient per
+    # labeling) or the assign rows (2n^2 coefficients) pass it alone, so
+    # the export is refused before it builds either.
+    inst = Instance.build(n, K, edges)
+    monkeypatch.setattr(modelgen, "MAX_NONZEROS", 20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(modelgen.ModelTooLargeError):
+            export(inst, model)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 18
+    finally:
+        tracemalloc.stop()

@@ -24,11 +24,11 @@ from ddvop.order import (
     root_bound,
 )
 from ddvop.witness_decomp import (
+    CycleCut,
     WitnessState,
     WitnessTrace,
     ef_validate,
     induce_witness_state,
-    make_cycle_cut,
     mp2_solve,
     solve_witness,
     sp2_check,
@@ -63,26 +63,37 @@ def test_cyclic_state_yields_cycle(g6b, g6b_state, g6b_cyclic_state):
     got = sp2_check(g6b, g6b_cyclic_state)
     assert isinstance(got, tuple)
     assert set(got) == {(2, 4), (4, 2)}
-    cut = make_cycle_cut(got, g6b.K)
+    cut = CycleCut(got)
     assert cut.vertices == frozenset({2, 4})
-    assert cut.lift_vertex == 2 and cut.lifted
-    assert cut.rhs(frozenset({0, 1, 3})) == 1
-    assert cut.rhs(frozenset({0, 1, 2})) == 2
     assert not cut.satisfied_by(g6b_cyclic_state)
     assert cut.satisfied_by(g6b_state)
+    # A 3-cycle inside the clique {0, 1, 3} counts no arc; the same arcs
+    # chosen off the clique count all three.
+    inside = CycleCut(((0, 1), (1, 3), (3, 0)))
+    assert inside.satisfied_by(g6b_state)
+    off = WitnessState(frozenset({2, 4, 5}), g6b_state.witness_arcs, g6b_state.doubles)
+    assert not inside.satisfied_by(off)
 
 
 def test_make_cycle_cut_units():
-    # Length-4 cycles get no lifting; the right-hand side is |C| - 1.
-    c4 = make_cycle_cut([(0, 1), (1, 2), (2, 3), (3, 0)], 2)
-    assert not c4.lifted
-    assert c4.rhs(frozenset({0, 1})) == 3
-    # Short cycles lift their lowest vertex: the bound weakens by one
-    # only when that vertex sits inside the master's clique.
-    c3 = make_cycle_cut([(0, 1), (1, 2), (2, 0)], 2)
-    assert c3.lifted and c3.lift_vertex == 0
-    assert c3.rhs(frozenset({0, 5, 9})) == 3
-    assert c3.rhs(frozenset({7, 8, 9})) == 2
+    # A cut counts the arcs a state holds whose tail is outside its
+    # clique, against |C| - 1, with no lift.
+    c3 = CycleCut([(0, 1), (1, 2), (2, 0)])
+    assert c3.arcs == ((0, 1), (1, 2), (2, 0))
+    assert c3.vertices == frozenset({0, 1, 2})
+
+    def state(clique, arcs):
+        return WitnessState(frozenset(clique), frozenset(arcs), (0,) * 10)
+
+    # Inside the clique every arc has a clique tail: satisfied.
+    assert c3.satisfied_by(state({0, 1, 2}, c3.arcs))
+    # The same cycle chosen off the clique is violated.
+    assert not c3.satisfied_by(state({7, 8, 9}, c3.arcs))
+    # Meeting the clique at 0 leaves 2 counted arcs of 3.
+    assert c3.satisfied_by(state({0, 8, 9}, c3.arcs))
+    c4 = CycleCut([(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert c4.satisfied_by(state({7, 8, 9}, c4.arcs[:3]))
+    assert not c4.satisfied_by(state({7, 8, 9}, c4.arcs))
 
 
 @pytest.mark.parametrize(
@@ -95,7 +106,7 @@ def test_make_cycle_cut_units():
 )
 def test_make_cycle_cut_rejects_non_cycles(arcs):
     with pytest.raises(ValueError):
-        make_cycle_cut(arcs, 2)
+        CycleCut(arcs)
 
 
 def test_invalid_states_rejected(g6b, g6b_state):
@@ -133,15 +144,15 @@ FROZEN = [
 
 def two_cycle_cuts(inst):
     """The cut of every 2-cycle, one per edge."""
-    return [make_cycle_cut(((u, v), (v, u)), inst.K) for u, v in inst.sorted_edges()]
+    return [CycleCut(((u, v), (v, u))) for u, v in inst.sorted_edges()]
 
 
 def three_cycle_cuts(inst):
     """The cuts of both directions of every triangle."""
     cuts = []
     for a, b, c in enumerate_cliques(inst, 3):
-        cuts.append(make_cycle_cut(((a, b), (b, c), (c, a)), inst.K))
-        cuts.append(make_cycle_cut(((a, c), (c, b), (b, a)), inst.K))
+        cuts.append(CycleCut(((a, b), (b, c), (c, a))))
+        cuts.append(CycleCut(((a, c), (c, b), (b, a))))
     return cuts
 
 
@@ -218,7 +229,7 @@ def test_manual_loop_cut_soundness(fixture, request):
 def test_master_alone_is_exact(args, pool):
     # With no greedy cutoff the master reaches the optimum by itself.  A cut
     # separated mid-search counts arcs assigned before it existed, so undoing
-    # an assignment must also decrement it; a stale left side over-prunes.
+    # an assignment must also give its slack back; a stale slack over-prunes.
     inst = gen_random(*args)
     _, roots = greedy_roots(inst)
     cuts = [] if pool == "empty" else two_cycle_cuts(inst)
@@ -273,6 +284,33 @@ def test_master_forms_no_two_cycle(inst):
             if v not in state.clique and u not in state.clique:
                 assert (u, v) not in state.witness_arcs
     assert all(len(cut.arcs) >= 3 for cut in cuts)
+
+
+# The master separates two 3-cycle cuts.  Each fits inside the initial
+# clique of some valid order, whose induced state holds all its arcs with
+# clique tails; a cut that counted those arcs would refuse that order.
+CLIQUE_CYCLE = Instance.build(
+    6, 2, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (4, 5)]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances())
+@example(CLIQUE_CYCLE)
+def test_cuts_hold_for_every_valid_order(inst):
+    # From an empty pool, every root and no cutoff: each separated cut
+    # refuses its own leaf and keeps the induced state of every valid
+    # order (the first 3000 in lexicographic order).
+    trace = WitnessTrace()
+    mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), [], inst.n, trace=trace)
+    for cut, leaf in trace.cuts:
+        assert not cut.satisfied_by(leaf)
+    if not trace.cuts:
+        return
+    _, walker = enumerate_valid_orders(inst)
+    for order in itertools.islice(walker, 3000):
+        state = induce_witness_state(inst, order)
+        assert all(cut.satisfied_by(state) for cut, _ in trace.cuts)
 
 
 @pytest.fixture

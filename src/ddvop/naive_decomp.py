@@ -7,9 +7,10 @@ at least K adjacent predecessors where the pattern allows a double and
 at least K+1 where it does not.  When the subproblem fails, a deletion
 filter extracts a minimal set of strict ranks that cannot all stay
 double-free, and the resulting cover cut is returned to the master;
-every cut the master sees is such a cover.  The subproblem memoizes
-placed sets proved dead, and the filter's first test, of the failed
-pattern itself, re-proves it from that call's memo.
+every cut the master sees is such a cover.  The failed subproblem names
+the strict ranks that blocked it, which already form a cover, so the
+filter scans only those (logic-based Benders: the proof of
+infeasibility gives the cut).
 The master starts from the base fixings alone (no double below rank K,
 one at rank K).  Once the first subproblem fails, the least root bound
 over the initial cliques starts the master's deepening: no pattern with
@@ -114,6 +115,7 @@ def sp1_solve(
     deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
     dead: list[set[int]] | None = None,
+    blocked: set[int] | None = None,
 ) -> VertexOrder | None:
     """Find an order whose rank-r vertex meets the pattern's threshold.
 
@@ -134,6 +136,13 @@ def sp1_solve(
     free mask and tries them by most adjacent predecessors, then lowest
     vertex; `stats.choice_points` gains one per placement, on a TIMEOUT
     too.
+
+    `blocked`, if given, gains every strict rank r > K at which a node
+    was proved dead while some unplaced vertex had exactly K placed
+    neighbours.  Relaxing any other strict rank adds no candidate at any
+    node of the search, so when the call fails and every memo hit came
+    from the call itself (`dead` not given), the pattern strict only on
+    `blocked` fails the same way: the set is a cover.
     """
     n, K = inst.n, inst.K
     adj = inst.adj_bits
@@ -181,6 +190,14 @@ def sp1_solve(
                 return True
             perm.pop()
         dead[r].add(mask)
+        if blocked is not None and least > K and r not in blocked:
+            rest = ~mask & full
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (adj[low.bit_length() - 1] & mask).bit_count() == K:
+                    blocked.add(r)
+                    break
         return False
 
     try:
@@ -196,58 +213,47 @@ def find_iis(
     pattern: DoublePattern,
     deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
-    dead: list[set[int]] | None = None,
+    cover: set[int] | None = None,
 ) -> BendersCut | None:
     """Minimal strict-rank set whose thresholds cannot all hold.
 
-    Deletion filter: scan the pattern's zero ranks above K in decreasing
-    order, tentatively relaxing each to the double threshold; ranks whose
+    `cover` is a set of the pattern's strict ranks above K whose
+    thresholds alone cannot all hold, such as the `blocked` set of a
+    failed sp1_solve call on the pattern; when absent, the pattern's own
+    test records it, and a feasible pattern raises ValueError.
+    Deletion filter: scan the cover's ranks in decreasing order,
+    tentatively relaxing each to the double threshold; ranks whose
     relaxation leaves the subproblem infeasible are discarded.  Every
     survivor is necessary, so at least one of them must be a double in
-    any feasible pattern.  The all-double pattern is tested first: when
-    even it is infeasible the instance has no valid order at all, no cut
-    exists, and None is returned after that one test rather than one per
-    strict rank.
+    any feasible pattern.  When none survives, the all-double pattern is
+    infeasible: the instance has no valid order at all, no cut exists,
+    and None is returned; an empty cover says so before any test.
 
-    The first test, of the pattern itself, runs on `dead` if given: a
-    caller whose sp1_solve call on this same pattern failed passes that
-    call's memo, where the empty placement is already dead, so the test
-    places no vertex.  The list is then cleared and shared by the scan's
-    tests (see `sp1_solve`).  A mask's verdict depends only on the
-    ranks from its popcount up, and once rank r has been tested every
-    rank >= r is final or, when r survives, stricter than in that test.
-    So the buckets of popcount >= r stay sound for the rest of the scan,
-    and those below r are cleared, since later tests may relax their
-    ranks.  The all-double test keeps its own memo.
+    The scan's tests share one memo (see `sp1_solve`).  A mask's verdict
+    depends only on the ranks from its popcount up, and once rank r has
+    been tested every rank >= r is final or, when r survives, stricter
+    than in that test.  So the buckets of popcount >= r stay sound for
+    the rest of the scan, and those below r are cleared, since later
+    tests may relax their ranks.
     """
     n, K = inst.n, inst.K
     bits = pattern.bits
     if any(bits[r] for r in range(K)) or bits[K] != 1:
         raise ValueError("pattern must respect the base fixings")
-
-    def feasible(strict: set[int], dead: list[set[int]] | None = None) -> bool:
-        test = tuple(
-            0 if (r < K or r in strict) else 1 for r in range(n)
-        )
-        found = sp1_solve(inst, DoublePattern(test), deadline, stats, dead)
-        return found is not None
-
-    strict0 = sorted((r for r in range(K + 1, n) if bits[r] == 0), reverse=True)
-    survivors = set(strict0)
-    if dead is None:
-        dead = [set() for _ in range(n)]
-    if feasible(survivors, dead):
-        raise ValueError("pattern is feasible; no infeasible subsystem exists")
-    for masks in dead:
-        masks.clear()
-    if not feasible(set()):
-        return None
-    for r in strict0:
-        if not feasible(survivors - {r}, dead):
+    if cover is None:
+        cover = set()
+        if sp1_solve(inst, pattern, deadline, stats, blocked=cover) is not None:
+            raise ValueError("pattern is feasible; no infeasible subsystem exists")
+    survivors = set(cover)
+    dead: list[set[int]] = [set() for _ in range(n)]
+    for r in sorted(cover, reverse=True):
+        strict = survivors - {r}
+        test = tuple(0 if (q < K or q in strict) else 1 for q in range(n))
+        if sp1_solve(inst, DoublePattern(test), deadline, stats, dead) is None:
             survivors.discard(r)
         for p in range(r):
             dead[p].clear()
-    return BendersCut(frozenset(survivors))
+    return BendersCut(frozenset(survivors)) if survivors else None
 
 
 @dataclass
@@ -306,8 +312,9 @@ def solve_naive(
     lower_bound is the larger of the last master pattern's double count
     (every cut and the start hold for every valid order) and one more
     than the start.
-    Each iteration's subproblem memo goes to find_iis when it fails, so
-    the filter does not search that pattern again from scratch.
+    Each iteration's subproblem runs on a fresh memo and records the
+    strict ranks that blocked it; when it fails, find_iis scans only
+    those, without searching the pattern again.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -322,8 +329,8 @@ def solve_naive(
             if pattern is None:
                 return Solution("INFEASIBLE", None, None, None, stats)
             lower = max(lower, pattern.count())
-            dead: list[set[int]] = [set() for _ in range(inst.n)]
-            order = sp1_solve(inst, pattern, deadline, stats, dead)
+            blocked: set[int] = set()
+            order = sp1_solve(inst, pattern, deadline, stats, blocked=blocked)
             if order is not None:
                 report = check_order(inst, order)
                 assert report.is_dvop
@@ -335,8 +342,10 @@ def solve_naive(
                 start = deepening_start(inst, deadline)
                 lower = max(lower, 1 + start)
             t_iis = time.monotonic()
-            cut = find_iis(inst, pattern, deadline, stats, dead)
-            stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
+            try:
+                cut = find_iis(inst, pattern, deadline, stats, blocked)
+            finally:
+                stats.iis_time_ms += (time.monotonic() - t_iis) * 1000.0
             if cut is None:
                 return Solution("INFEASIBLE", None, None, None, stats)
             cuts.append(cut)

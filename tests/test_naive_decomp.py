@@ -1,5 +1,8 @@
 """Pattern-first decomposition: master, subproblem, minimal infeasible cuts."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from conftest import assert_timeout_incumbent, small_instances
 from ddvop import naive_decomp
 from ddvop.graph import enumerate_cliques
 from ddvop.harness import solve_with_method
-from ddvop.instgen import acceptance_corpus
+from ddvop.instgen import acceptance_corpus, gen_synthetic
 from ddvop.naive_decomp import (
     BendersCut,
     NaiveTrace,
@@ -18,7 +21,7 @@ from ddvop.naive_decomp import (
     solve_naive,
     sp1_solve,
 )
-from ddvop.oracle import brute_optimum
+from ddvop.oracle import brute_optimum, enumerate_valid_orders
 from ddvop.order import DoublePattern, VertexOrder, check_order, root_bound
 from ddvop.solution import SolveStats
 
@@ -100,25 +103,6 @@ def reference_feasible(inst, bits):
     return bool(layer)
 
 
-def reference_iis(inst, bits):
-    """The deletion filter with every test a fresh reference search."""
-    n, K = inst.n, inst.K
-
-    def feasible(strict):
-        return reference_feasible(
-            inst, [0 if (r < K or r in strict) else 1 for r in range(n)]
-        )
-
-    strict0 = sorted((r for r in range(K + 1, n) if bits[r] == 0), reverse=True)
-    survivors = set(strict0)
-    if not feasible(set()):
-        return None
-    for r in strict0:
-        if not feasible(survivors - {r}):
-            survivors.discard(r)
-    return BendersCut(frozenset(survivors))
-
-
 @st.composite
 def instance_and_pattern(draw):
     """A small instance and a pattern that respects its base fixings."""
@@ -140,25 +124,44 @@ def test_sp1_matches_reference(case):
         assert all(report.doubles.bits[r] <= b for r, b in enumerate(pattern.bits))
 
 
+def strict_only(inst, strict):
+    """The pattern strict on `strict` above K, double everywhere else."""
+    return [0 if (r < inst.K or r in strict) else 1 for r in range(inst.n)]
+
+
+def assert_irreducible(inst, cut):
+    """The cut's strict ranks cannot all hold, and dropping any one can."""
+    assert not reference_feasible(inst, strict_only(inst, cut.ranks))
+    for r in cut.ranks:
+        assert reference_feasible(inst, strict_only(inst, cut.ranks - {r}))
+
+
 @settings(deadline=None, max_examples=300)
 @given(instance_and_pattern())
 def test_find_iis_matches_reference(case):
-    # The filter's decisions are feasibility verdicts alone, so the memo
-    # carried across its tests must leave the cut unchanged, also when
-    # its guard starts from the memo of a subproblem call on the pattern
-    # (one that found an order, too).
+    # The blocked set of a failed call on the pattern is a cover: the
+    # pattern strict only there is still infeasible.  The filter's cut
+    # lies inside it, is the same whether the filter records the cover
+    # itself or is handed it, and is irreducible; with no cut, not even
+    # the all-double pattern is feasible.
     inst, pattern = case
-    dead = [set() for _ in range(inst.n)]
-    sp1_solve(inst, pattern, dead=dead)
-    if reference_feasible(inst, pattern.bits):
+    strict = {r for r in range(inst.K + 1, inst.n) if not pattern.bits[r]}
+    cover = set()
+    found = sp1_solve(inst, pattern, blocked=cover)
+    assert (found is not None) == reference_feasible(inst, pattern.bits)
+    if found is not None:
         with pytest.raises(ValueError):
             find_iis(inst, pattern)
-        with pytest.raises(ValueError):
-            find_iis(inst, pattern, dead=dead)
+        return
+    assert cover <= strict
+    assert not reference_feasible(inst, strict_only(inst, cover))
+    cut = find_iis(inst, pattern)
+    assert find_iis(inst, pattern, cover=cover) == cut
+    if cut is None:
+        assert not reference_feasible(inst, strict_only(inst, set()))
     else:
-        want = reference_iis(inst, pattern.bits)
-        assert find_iis(inst, pattern) == want
-        assert find_iis(inst, pattern, dead=dead) == want
+        assert cut.ranks <= cover
+        assert_irreducible(inst, cut)
 
 
 def reference_sp1(inst, pattern, stats=None):
@@ -278,8 +281,11 @@ def test_failed_memo_reproves_without_search(g6a):
     assert stats.choice_points == 0
 
 
-def solve_with_and_without_guard_memo(inst):
-    """solve_naive as is, and with find_iis never given the failed memo."""
+def solve_with_and_without_cover(inst):
+    """solve_naive as is, and with find_iis never handed the failed cover.
+
+    Without it the filter's first test repeats the failed call's search
+    on a fresh memo, so it records the same cover."""
     runs = []
     for patch in (False, True):
         with pytest.MonkeyPatch.context() as m:
@@ -290,7 +296,7 @@ def solve_with_and_without_guard_memo(inst):
     return runs
 
 
-def assert_guard_memo_changes_only_work(runs):
+def assert_cover_changes_only_work(runs):
     (got, got_cuts), (want, want_cuts) = runs
     assert got.status == want.status and got.objective == want.objective
     assert got.order == want.order and got.lower_bound == want.lower_bound
@@ -299,30 +305,76 @@ def assert_guard_memo_changes_only_work(runs):
     assert got.stats.choice_points <= want.stats.choice_points
 
 
-def test_guard_memo_on_acceptance_corpus():
+def test_handed_cover_on_acceptance_corpus():
     saved = 0
     for inst in acceptance_corpus():
-        runs = solve_with_and_without_guard_memo(inst)
-        assert_guard_memo_changes_only_work(runs)
+        runs = solve_with_and_without_cover(inst)
+        assert_cover_changes_only_work(runs)
         saved += runs[1][0].stats.choice_points - runs[0][0].stats.choice_points
     assert saved > 0
 
 
 @settings(deadline=None)
 @given(small_instances())
-def test_guard_memo_on_small_instances(inst):
-    assert_guard_memo_changes_only_work(solve_with_and_without_guard_memo(inst))
+def test_handed_cover_on_small_instances(inst):
+    assert_cover_changes_only_work(solve_with_and_without_cover(inst))
 
 
 def test_find_iis_hopeless_instance(p5_k2, monkeypatch):
-    # Two subproblems: the pattern itself, then the all-double pattern,
-    # not one more per strict rank.
+    # One subproblem, the pattern's own test: no triangle, so no strict
+    # rank is reached, the cover is empty and the scan runs no test.
     calls = []
     monkeypatch.setattr(
-        naive_decomp, "sp1_solve", lambda *a: calls.append(a) or sp1_solve(*a)
+        naive_decomp,
+        "sp1_solve",
+        lambda *a, **kw: calls.append(a) or sp1_solve(*a, **kw),
     )
     assert find_iis(p5_k2, DoublePattern((0, 0, 1, 0, 0))) is None
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances())
+def test_cuts_hold_for_every_valid_order(inst):
+    # Every cut solve_naive emits refuses its pattern, lies inside the
+    # cover its failed call records (itself inside the pattern's strict
+    # ranks), is irreducible, and holds for the induced pattern of every
+    # valid order (the first 3000 in lexicographic order).
+    trace = NaiveTrace()
+    solve_naive(inst, trace=trace)
+    for cut, pattern in trace.cuts:
+        assert not cut.satisfied_by(pattern.bits)
+        cover = set()
+        assert sp1_solve(inst, pattern, blocked=cover) is None
+        assert cut.ranks <= cover
+        assert all(r > inst.K and not pattern.bits[r] for r in cover)
+        assert_irreducible(inst, cut)
+    if not trace.cuts:
+        return
+    _, walker = enumerate_valid_orders(inst)
+    for order in itertools.islice(walker, 3000):
+        bits = check_order(inst, order).doubles.bits
+        assert all(cut.satisfied_by(bits) for cut, _ in trace.cuts)
+
+
+def test_iis_time_counts_timed_out_filter(g6a, monkeypatch):
+    # The filter call that the deadline cuts off still adds its time.
+    def slow_timeout(*a):
+        time.sleep(0.02)
+        raise TimeoutError
+
+    monkeypatch.setattr(naive_decomp, "find_iis", slow_timeout)
+    sol = solve_naive(g6a, 60.0)
+    assert sol.status == "TIMEOUT"
+    assert sol.stats.iis_time_ms >= 20
+
+
+def test_planted_s18_work_pin():
+    # The bench's planted s18: the filter scans only the blocked ranks,
+    # so the solve stays far below the full filter's 280 990 choice points.
+    sol = solve_naive(gen_synthetic(2, 7, 0.1, 40, 18), None)
+    assert sol.status == "OPTIMAL" and sol.objective == 4
+    assert sol.stats.choice_points < 100_000
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ Summaries carry two counts per variable or constraint family: the raw
 number of names or rows emitted, and the table count.  formulation_sizes
 is the one home of the table convention: a family takes its value from
 the model's row there, or its raw count when the row lacks it.
-verify_counts checks the raw counts against closed forms.
+verify_counts checks the raw counts against closed forms.  An export
+whose constraint coefficients, also counted in closed form, would pass
+MAX_NONZEROS is refused with ModelTooLargeError before any row is built.
 
 validate_formulation checks an order and a double pattern against the
 paper's IP (through its export) and its three CP formulations.
@@ -27,9 +29,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .graph import Instance, enumerate_cliques, extendable_k_cliques
+from .graph import Clique, Instance, enumerate_cliques, extendable_k_cliques
 from .order import DoublePattern, VertexOrder, check_order
 from .witness_decomp import induce_witness_state
 
@@ -37,17 +39,14 @@ MODELS = ("ip", "minnodes", "cycles", "ranks", "mp2", "ccg")
 CLIQUE_MODELS = ("cycles", "ranks", "ccg")  # the models that read unordered_cliques
 
 # Measured, `export --model ip` on gen_random(n, 0.5, 3, 1) (Python 3.11,
-# 20 MB rss before the export): n = 30 wrote 0.39 M coefficients and
-# peaked at 37 MB rss, n = 38 0.99 M at 65 MB, n = 40 (ceiling lifted)
-# 1.2 M at 75 MB.  So ip stops between n = 38 and 39.  A refused export
-# peaks at 35 MB rss for n <= 100 and builds more the larger n is: a
-# 707-vertex path peaks at 88 MB.  From n = 708 the 2n^2 assign
-# coefficients alone pass the ceiling, and ip refuses before building
-# anything.  cycles, ranks and ccg refuse before building their clique
-# labelings when the labelings alone pass it.
+# 20 MB rss before the export): n = 30 writes 0.39 M coefficients and
+# peaks at 32 MB rss, n = 38 0.99 M at 52 MB, n = 40 (ceiling lifted)
+# 1.2 M at 60 MB.  So ip stops between n = 38 and 39.  The count is a
+# closed form (_nonzeros), so a refused export builds no row: ip,
+# minnodes and mp2 build nothing at all, and cycles, ranks and ccg only
+# enumerate the extendable K-cliques their count reads (complete K_100
+# with K = 3: 0.3 s and 47 MB rss before cycles is refused).
 MAX_NONZEROS = 1_000_000
-
-Term = tuple[int, str]
 
 
 class ModelTooLargeError(ValueError):
@@ -61,37 +60,46 @@ def _refuse_past_ceiling(nonzeros: int) -> None:
         )
 
 
-class _Lp:
-    """Accumulates one LP model and renders deterministic text.
+def _term(coef: int, var: str) -> str:
+    """One nonzero term as its LP part: "+ x_3_5", "- 4 z_3_5"."""
+    if coef == 1:
+        return "+ " + var
+    if coef == -1:
+        return "- " + var
+    return f"{'+' if coef > 0 else '-'} {abs(coef)} {var}"
 
-    Every variable and constraint is added under a family name, and the
-    per-family tallies are the raw counts a ModelSummary reports.  Rows,
-    the objective and the variable lists wrap at 78 columns: a line takes
-    its first part whatever its length, then every next part that fits,
-    and continuation lines are indented six spaces.
+
+class _Lp:
+    """Builds one LP model as deterministic text, row by row.
+
+    A term is passed around as its part string (_term), so a term that many
+    rows share is formatted once, and each row is joined and wrapped into
+    its lines as soon as it is added.  Every variable and constraint is
+    added under a family name, and the per-family tallies are the raw
+    counts a ModelSummary reports.  Rows, the objective and the variable
+    lists wrap at 78 columns: a line takes its first part whatever its
+    length, then every next part that fits, and continuation lines are
+    indented six spaces.
     """
 
     def __init__(self, comments: Sequence[str]):
         self.comments = list(comments)
-        self.obj_terms: list[Term] = []
+        self.objective: list[str] = []
         self.obj_const = 0
-        self.cons: list[tuple[str, list[Term], str, int]] = []
+        self.rows: list[str] = []
         self.bounds: list[tuple[int, str, int]] = []
         self.binaries: list[str] = []
         self.generals: list[str] = []
         self.var_counts: Counter[str] = Counter()
         self.con_counts: Counter[str] = Counter()
-        self.nonzeros = 0
         self.warning = ""
 
     def constraint(
-        self, family: str, name: str, terms: list[Term], sense: str, rhs: int
+        self, family: str, name: str, parts: Sequence[str], sense: str, rhs: int
     ) -> None:
-        """Store a row.  terms is kept, not copied: callers never change it after."""
-        assert sense in ("<=", ">=", "=")
-        self.nonzeros += len(terms)
-        _refuse_past_ceiling(self.nonzeros)
-        self.cons.append((name, terms, sense, rhs))
+        """Render a row now.  A part may itself be several parts joined
+        with NUL."""
+        self.rows.append(self._wrap(f" {name}:", self._join(parts), f"{sense} {rhs}"))
         self.con_counts[family] += 1
 
     def declare(self, family: str, names: Sequence[str], general: bool = False) -> None:
@@ -100,27 +108,24 @@ class _Lp:
         self.var_counts[family] += len(names)
 
     @staticmethod
-    def _expr(terms: Sequence[Term], const: int = 0) -> list[str]:
-        parts = [
-            "+ " + var if coef == 1
-            else "- " + var if coef == -1
-            else f"{'+' if coef > 0 else '-'} {abs(coef)} {var}"
-            for coef, var in terms
-            if coef
-        ]
-        if parts and parts[0][0] == "+":
-            parts[0] = parts[0][2:]
-        if not parts:
-            parts.append(str(const))
-        elif const:
-            parts.append(("+ " if const > 0 else "- ") + str(abs(const)))
-        return parts
+    def _join(parts: Sequence[str], const: int = 0) -> str:
+        """An expression's parts joined with NUL, which no part contains, the
+        leading "+ " dropped and a nonzero constant appended."""
+        text = "\0".join(parts)
+        if text.startswith("+"):
+            text = text[2:]
+        if not text:
+            return str(const)
+        if const:
+            text += ("\0+ " if const > 0 else "\0- ") + str(abs(const))
+        return text
 
     @staticmethod
-    def _wrap(head: str, parts: list[str], tail: str = "") -> list[str]:
-        # Parts are joined with NUL, which no part contains, so each break is
-        # one rfind for the last separator within the line's budget.
-        text = "\0".join(parts)
+    def _wrap(head: str, text: str, tail: str = "") -> str:
+        """The lines of head, the NUL-joined parts in text, and tail.
+
+        NUL is in no part, so each break is one rfind for the last
+        separator within the line's budget."""
         lines: list[str] = []
         lead, start, budget = head, 0, 77 - len(head)
         while len(text) - start > budget:
@@ -129,29 +134,29 @@ class _Lp:
                 cut = text.find("\0", start)
                 if cut < 0:
                     break
-            lines.append(f"{lead} {text[start:cut]}".replace("\0", " "))
+            lines.append(f"{lead} {text[start:cut]}")
             lead, start, budget = "     ", cut + 1, 72
-        last = f"{lead} {text[start:]}".replace("\0", " ") if parts else head
-        lines.append(f"{last} {tail}" if tail else last)
-        return lines
+        lines.append(f"{lead} {text[start:]}" if text else head)
+        if tail:
+            lines[-1] += " " + tail
+        return "\n".join(lines).replace("\0", " ")
 
     def render(self) -> str:
         out: list[str] = [f"\\ {c}" for c in self.comments]
         out.append("Minimize")
-        out.extend(self._wrap(" obj:", self._expr(self.obj_terms, self.obj_const)))
+        out.append(self._wrap(" obj:", self._join(self.objective, self.obj_const)))
         out.append("Subject To")
-        for name, terms, sense, rhs in self.cons:
-            out.extend(self._wrap(f" {name}:", self._expr(terms), f"{sense} {rhs}"))
+        out += self.rows
         if self.bounds:
             out.append("Bounds")
             for lo, var, hi in self.bounds:
                 out.append(f" {lo} <= {var} <= {hi}")
         if self.binaries:
             out.append("Binaries")
-            out.extend(self._wrap("", self.binaries))
+            out.append(self._wrap("", "\0".join(self.binaries)))
         if self.generals:
             out.append("Generals")
-            out.extend(self._wrap("", self.generals))
+            out.append(self._wrap("", "\0".join(self.generals)))
         out.append("End")
         return "\n".join(out) + "\n"
 
@@ -191,19 +196,19 @@ def ordered_extendable_cliques(
     The linking coefficient depends on each member's rank inside the
     clique, so every labeling is a distinct candidate; the unordered
     variant keeps only the sorted labeling as a size-saving
-    approximation.  The pick_clique row holds one coefficient per
-    labeling, so ModelTooLargeError refuses the labelings before they are
-    built when that row alone passes MAX_NONZEROS.
+    approximation.
     """
-    roots = extendable_k_cliques(inst)
+    return list(_labelings(extendable_k_cliques(inst), unordered))
+
+
+def _labelings(roots: Sequence[Clique], unordered: bool) -> Iterable[tuple[int, ...]]:
     if unordered:
-        return [cl.members for cl in roots]
-    _refuse_past_ceiling(len(roots) * math.factorial(inst.K))
-    return [p for cl in roots for p in itertools.permutations(cl.members)]
+        return (cl.members for cl in roots)
+    return (p for cl in roots for p in itertools.permutations(cl.members))
 
 
 def _kappa_name(c: tuple[int, ...]) -> str:
-    return "kappa_" + "_".join(str(v) for v in c)
+    return "kappa_" + "_".join(map(str, c))
 
 
 _NO_CLIQUE = "no extendable K-clique; emitted trivially infeasible model"
@@ -212,9 +217,9 @@ _NO_CLIQUE = "no extendable K-clique; emitted trivially infeasible model"
 def _trivial_model(lp: _Lp) -> None:
     lp.comments.append(f"warning: {_NO_CLIQUE}")
     lp.warning = _NO_CLIQUE
-    lp.obj_terms = [(1, "infeasible_dummy")]
-    lp.constraint("infeasible", "force_one", [(1, "infeasible_dummy")], ">=", 1)
-    lp.constraint("infeasible", "force_zero", [(1, "infeasible_dummy")], "<=", 0)
+    lp.objective = ["+ infeasible_dummy"]
+    lp.constraint("infeasible", "force_one", ["+ infeasible_dummy"], ">=", 1)
+    lp.constraint("infeasible", "force_zero", ["+ infeasible_dummy"], "<=", 0)
     lp.declare("dummy", ["infeasible_dummy"])
 
 
@@ -225,103 +230,79 @@ def _header(inst: Instance, model: str) -> list[str]:
     ]
 
 
-def _export_ip(inst: Instance, with_nodes: bool) -> _Lp:
+def _export_ip(inst: Instance, model: str) -> _Lp:
     n, K = inst.n, inst.K
-    # The 2n assign rows alone hold 2n^2 coefficients: refuse before the
-    # n^2 x-terms are built when they pass the ceiling.
-    _refuse_past_ceiling(2 * n * n)
-    lp = _Lp(_header(inst, "minnodes" if with_nodes else "ip"))
-    if with_nodes:
-        lp.obj_terms = [(1, f"m_{r}") for r in range(n)]
-    else:
-        lp.obj_terms = [(1, f"y_{r}") for r in range(n)]
-    # xt[v][r] is the one (1, "x_v_r") term every row shares.
-    xt = [[(1, f"x_{v}_{r}") for r in range(n)] for v in range(n)]
+    _refuse_past_ceiling(_nonzeros(inst, model))
+    with_nodes = model == "minnodes"
+    lp = _Lp(_header(inst, model))
+    lp.objective = [f"+ {'m' if with_nodes else 'y'}_{r}" for r in range(n)]
+    # x[v][r] names a variable, xt[v][r] is its "+ x_v_r" part every row
+    # shares, and below[v][r] joins v's parts at ranks below r once.
+    x = [[f"x_{v}_{r}" for r in range(n)] for v in range(n)]
+    xt = [["+ " + name for name in row] for row in x]
+    below = [["\0".join(row[:r]) for r in range(n)] for row in xt]
     for v in range(n):
         lp.constraint("1-1 assignment", f"assign_v{v}", xt[v], "=", 1)
     for r in range(n):
-        col = [xt[v][r] for v in range(n)]
-        lp.constraint("1-1 assignment", f"assign_r{r}", col, "=", 1)
-    # earlier[v, r]: the x-terms of v's neighbours at ranks below r, built
-    # for the pred row of (v, r) and kept for its wit row.
-    earlier: dict[tuple[int, int], list[Term]] = {}
+        lp.constraint("1-1 assignment", f"assign_r{r}", [row[r] for row in xt], "=", 1)
+    # earlier[v][r]: the x-parts of v's neighbours at ranks below r (r >= 1),
+    # joined for the pred row of (v, r) and kept for its wit row.
+    earlier: list[list[str]] = []
     for v in range(n):
         nbrs = sorted(inst.neighbors[v])
+        earlier.append([""] + ["\0".join([below[u][r] for u in nbrs]) for r in range(1, n)])
         for r in range(1, n):
             # Rank r needs r adjacent predecessors inside the clique
             # prefix, K afterwards.
-            need = r if r <= K else K
-            earlier[v, r] = xs = []
-            for u in nbrs:
-                xs += xt[u][:r]
-            terms = xs + [(-need, xt[v][r][1])]
-            lp.constraint("clique", f"pred_v{v}_r{r}", terms, ">=", 0)
+            need = _term(-min(r, K), x[v][r])
+            lp.constraint("clique", f"pred_v{v}_r{r}", [earlier[v][r], need], ">=", 0)
     for r in range(K):
-        lp.constraint("fixing", f"fix_y{r}", [(1, f"y_{r}")], "=", 0)
-    lp.constraint("fixing", f"fix_y{K}", [(1, f"y_{K}")], "=", 1)
+        lp.constraint("fixing", f"fix_y{r}", [f"+ y_{r}"], "=", 0)
+    lp.constraint("fixing", f"fix_y{K}", [f"+ y_{K}"], "=", 1)
+    wit = _term(-(K + 1), "")
     for v in range(n):
         for r in range(K, n):
             z = f"z_{v}_{r}"
-            terms = earlier[v, r]
-            terms.append((-(K + 1), z))
-            lp.constraint("linking", f"wit_v{v}_r{r}", terms, ">=", 0)
-            terms = [xt[v][r], (-1, f"y_{r}"), (-1, z)]
-            lp.constraint("linking", f"dbl_v{v}_r{r}", terms, "<=", 0)
-    lp.declare("x", [x for row in xt for _, x in row])
+            parts = [earlier[v][r], wit + z]
+            lp.constraint("linking", f"wit_v{v}_r{r}", parts, ">=", 0)
+            parts = [xt[v][r], f"- y_{r}", "- " + z]
+            lp.constraint("linking", f"dbl_v{v}_r{r}", parts, "<=", 0)
+    lp.declare("x", [name for row in x for name in row])
     lp.declare("y", [f"y_{r}" for r in range(n)])
     lp.declare("z", [f"z_{v}_{r}" for v in range(n) for r in range(K, n)])
     if with_nodes:
         for r in range(K):
-            lp.constraint("node fixing", f"mfix_r{r}", [(1, f"m_{r}")], "=", 1)
+            lp.constraint("node fixing", f"mfix_r{r}", [f"+ m_{r}"], "=", 1)
         for r in range(K, n):
-            terms = [(1, f"m_{r}"), (-1, f"m_{r - 1}")]
-            lp.constraint("node monotone", f"mmono_r{r}", terms, ">=", 0)
+            parts = [f"+ m_{r}", f"- m_{r - 1}"]
+            lp.constraint("node monotone", f"mmono_r{r}", parts, ">=", 0)
             # m_r - 2 m_{r-1} >= -2^{r-K} (1 - y_{r-1}), the big-M wide
             # enough for the all-doubles worst case.
             big = 2 ** (r - K)
-            terms = [(1, f"m_{r}"), (-2, f"m_{r - 1}"), (-big, f"y_{r - 1}")]
-            lp.constraint("node doubling", f"mdbl_r{r}", terms, ">=", -big)
+            parts = [f"+ m_{r}", f"- 2 m_{r - 1}", _term(-big, f"y_{r - 1}")]
+            lp.constraint("node doubling", f"mdbl_r{r}", parts, ">=", -big)
         lp.declare("m", [f"m_{r}" for r in range(n)], general=True)
     return lp
 
 
-def _linking_rows(
-    lp: _Lp, inst: Instance, cliques: list[tuple[int, ...]], pt: list[list[Term]]
-) -> None:
-    """Adjacent-predecessor requirement with the clique-rank correction.
-
-    A vertex inside the chosen initial clique at clique rank R only has
-    R-1 predecessors, so its kappa carries coefficient K-R+1; everyone
-    ends up needing K predecessors when a double, K+1 otherwise, which
-    forces y to 1 across the chosen clique.
-    """
-    n, K = inst.n, inst.K
-    kappas: list[list[Term]] = [[] for _ in range(n)]
-    for c in cliques:
-        name = _kappa_name(c)
-        for rank, v in enumerate(c):
-            kappas[v].append((K - rank, name))
-    for i in range(n):
-        terms = [pt[j][i] for j in sorted(inst.neighbors[i])] + kappas[i]
-        terms.append((1, f"y_{i}"))
-        lp.constraint("linking", f"link_v{i}", terms, ">=", K + 1)
-
-
 def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
     n, K = inst.n, inst.K
+    roots = extendable_k_cliques(inst)
+    triangles = enumerate_cliques(inst, 3) if model == "ccg" else []
+    kappas = len(roots) * (1 if unordered else math.factorial(K))
+    _refuse_past_ceiling(_nonzeros(inst, model, kappas, len(triangles)))
     lp = _Lp(_header(inst, model))
-    cliques = ordered_extendable_cliques(inst, unordered)
-    if not cliques:
+    if not roots:
         _trivial_model(lp)
         return lp
-    lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
+    lp.objective = [f"+ y_{v}" for v in range(n)]
     lp.obj_const = -K
     edge_pairs = inst.sorted_edges()
-    # pt[i][j] is the one (1, "p_i_j") term every row shares.
-    pt = [[(1, f"p_{i}_{j}") for j in range(n)] for i in range(n)]
+    # pt[i][j] is the one "+ p_i_j" part every row shares.
+    pt = [[f"+ p_{i}_{j}" for j in range(n)] for i in range(n)]
     family = "linear ordering"
     if model == "cycles":
-        p_names = [pt[i][j][1] for i in range(n) for j in range(n) if i != j]
+        p_names = [pt[i][j][2:] for i in range(n) for j in range(n) if i != j]
         for i, j in itertools.combinations(range(n), 2):
             lp.constraint(family, f"pair_{i}_{j}", [pt[i][j], pt[j][i]], "=", 1)
         for i, j in edge_pairs:
@@ -329,8 +310,8 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
                 if k == i or k == j:
                     continue
                 for a, b in ((i, j), (j, i)):
-                    terms = [pt[a][b], pt[b][k], pt[k][a]]
-                    lp.constraint(family, f"tri_{a}_{b}_{k}", terms, "<=", 2)
+                    parts = [pt[a][b], pt[b][k], pt[k][a]]
+                    lp.constraint(family, f"tri_{a}_{b}_{k}", parts, "<=", 2)
     else:
         p_names = [f"p_{i}_{j}" for i, j in edge_pairs] + [
             f"p_{j}_{i}" for i, j in edge_pairs
@@ -339,23 +320,37 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
         if model == "ranks":
             for i, j in edge_pairs:
                 for a, b in ((i, j), (j, i)):
-                    terms = [(n, f"p_{a}_{b}"), (1, f"r_{a}"), (-1, f"r_{b}")]
-                    lp.constraint(family, f"mtz_{a}_{b}", terms, "<=", n - 1)
+                    parts = [f"+ {n} p_{a}_{b}", f"+ r_{a}", f"- r_{b}"]
+                    lp.constraint(family, f"mtz_{a}_{b}", parts, "<=", n - 1)
         else:  # ccg master with 2- and 3-cycle seeds
-            triangles = enumerate_cliques(inst, 3)
             family = "cycle breaking cuts"
             for i, j in edge_pairs:
                 lp.constraint(family, f"cyc2_{i}_{j}", [pt[i][j], pt[j][i]], "<=", 1)
             for t in triangles:
                 a, b, c = t.members
                 for x, y in ((b, c), (c, b)):
-                    terms = [pt[a][x], pt[x][y], pt[y][a]]
-                    lp.constraint(family, f"cyc3_{a}_{x}_{y}", terms, "<=", 2)
-    terms = [(1, _kappa_name(c)) for c in cliques]
-    lp.constraint("clique selection", "pick_clique", terms, "=", 1)
-    _linking_rows(lp, inst, cliques, pt)
+                    parts = [pt[a][x], pt[x][y], pt[y][a]]
+                    lp.constraint(family, f"cyc3_{a}_{x}_{y}", parts, "<=", 2)
+    # Each labeling's kappa is named once.  A vertex inside the chosen
+    # initial clique at clique rank R only has R-1 predecessors, so its
+    # kappa carries coefficient K-R+1 in its linking row; everyone ends up
+    # needing K predecessors when a double, K+1 otherwise, which forces y
+    # to 1 across the chosen clique.
+    lead = [_term(K - rank, "") for rank in range(K)]
+    names: list[str] = []
+    kappa_parts: list[list[str]] = [[] for _ in range(n)]
+    for c in _labelings(roots, unordered):
+        name = _kappa_name(c)
+        names.append(name)
+        for rank, v in enumerate(c):
+            kappa_parts[v].append(lead[rank] + name)
+    lp.constraint("clique selection", "pick_clique", ["+ " + k for k in names], "=", 1)
+    for i in range(n):
+        parts = [pt[j][i] for j in sorted(inst.neighbors[i])] + kappa_parts[i]
+        parts.append(f"+ y_{i}")
+        lp.constraint("linking", f"link_v{i}", parts, ">=", K + 1)
     lp.declare("y", [f"y_{v}" for v in range(n)])
-    lp.declare("kappa", [_kappa_name(c) for c in cliques])
+    lp.declare("kappa", names)
     lp.declare("p", p_names)
     if model == "ranks":
         lp.declare("r", [f"r_{v}" for v in range(n)], general=True)
@@ -365,24 +360,23 @@ def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
 
 def _export_mp2(inst: Instance) -> _Lp:
     n, K = inst.n, inst.K
+    _refuse_past_ceiling(_nonzeros(inst, "mp2"))
     lp = _Lp(_header(inst, "mp2"))
-    lp.obj_terms = [(1, f"y_{v}") for v in range(n)]
+    lp.objective = [f"+ y_{v}" for v in range(n)]
     lp.obj_const = 1
-    terms = [(1, f"kappa_{v}") for v in range(n)]
-    lp.constraint("clique selection", "pick_clique", terms, "=", K + 1)
+    kt = [f"+ kappa_{v}" for v in range(n)]
+    lp.constraint("clique selection", "pick_clique", kt, "=", K + 1)
     for u, v in itertools.combinations(range(n), 2):
         if (u, v) not in inst.edges:
-            terms = [(1, f"kappa_{u}"), (1, f"kappa_{v}")]
-            lp.constraint("clique witness", f"nonadj_{u}_{v}", terms, "<=", 1)
+            lp.constraint("clique witness", f"nonadj_{u}_{v}", [kt[u], kt[v]], "<=", 1)
     for v in range(n):
         for u in sorted(inst.neighbors[v]):
-            terms = [(1, f"w_{u}_{v}"), (-1, f"kappa_{v}")]
-            lp.constraint("clique witness", f"cw_v{v}_u{u}", terms, ">=", 0)
+            parts = [f"+ w_{u}_{v}", f"- kappa_{v}"]
+            lp.constraint("clique witness", f"cw_v{v}_u{u}", parts, ">=", 0)
     for v in range(n):
-        terms = [(1, f"w_{v}_{u}") for u in sorted(inst.neighbors[v])]
-        terms.append((1, f"kappa_{v}"))
-        terms.append((1, f"y_{v}"))
-        lp.constraint("witness", f"wit_v{v}", terms, "=", K + 1)
+        parts = [f"+ w_{v}_{u}" for u in sorted(inst.neighbors[v])]
+        parts += (kt[v], f"+ y_{v}")
+        lp.constraint("witness", f"wit_v{v}", parts, "=", K + 1)
     lp.declare("y", [f"y_{v}" for v in range(n)])
     lp.declare("kappa", [f"kappa_{v}" for v in range(n)])
     lp.declare(
@@ -424,7 +418,7 @@ def export(
     if unordered_cliques and model not in CLIQUE_MODELS:
         raise ValueError(f"unordered cliques apply only to {', '.join(CLIQUE_MODELS)}")
     if model in ("ip", "minnodes"):
-        lp = _export_ip(inst, model == "minnodes")
+        lp = _export_ip(inst, model)
     elif model == "mp2":
         lp = _export_mp2(inst)
     else:
@@ -487,6 +481,38 @@ def _expected_summary(
         assert model == "ccg"
         constraints["cycle breaking cuts"] = m + 2 * len(enumerate_cliques(inst, 3))
     return variables, constraints, ""
+
+
+def _nonzeros(inst: Instance, model: str, kappas: int = 0, triangles: int = 0) -> int:
+    """Closed-form count of the constraint coefficients an export writes.
+
+    kappas is the number of clique labelings and triangles the number of
+    3-cliques, which only the ordering models read; with no labelings
+    they write the trivial model's two one-term rows.
+    """
+    n, K = inst.n, inst.K
+    m = len(inst.edges)
+    if model in ("ip", "minnodes"):
+        # assign: n per row.  pred (rank r >= 1) and wit (rank r >= K): one
+        # x-term per neighbour and lower rank, plus one.  fix: 1.  dbl: 3.
+        total = 2 * n * n + (m + 1) * n * (n - 1) + K + 1
+        total += m * (n * (n - 1) - K * (K - 1)) + 4 * n * (n - K)
+        if model == "minnodes":  # mfix 1, mmono 2, mdbl 3
+            total += K + 5 * (n - K)
+        return total
+    if model == "mp2":
+        # pick_clique n, nonadj 2 per non-edge, cw 2 per arc, wit 2 + degree
+        return n * (n - 1) + 4 * m + 3 * n
+    if not kappas:
+        return 2
+    # The model's own rows, then pick_clique (one per labeling) and the
+    # link rows (one per arc, K per labeling, and y).
+    own = {
+        "cycles": n * (n - 1) + 6 * m * (n - 2),  # pair 2, tri 3
+        "ranks": 6 * m,  # mtz 3 per arc
+        "ccg": 2 * m + 6 * triangles,  # cyc2 2 per edge, cyc3 3 per cycle
+    }
+    return own[model] + kappas * (K + 1) + 2 * m + n
 
 
 def verify_counts(summary: ModelSummary, inst: Instance) -> bool:
@@ -590,6 +616,8 @@ def formulation_sizes(inst: Instance) -> dict[str, dict[str, dict[str, int]]]:
 
 
 # --- parsing and evaluation of exported text ---
+
+Term = tuple[int, str]
 
 
 @dataclass

@@ -224,18 +224,20 @@ def test_export_unordered_cliques_exit_2(g6a_file, tmp_path, capsys):
     assert not dest.exists()
 
 
-def test_export_ceiling_exit_2(g6a_file, tmp_path, monkeypatch, capsys):
-    # With the ceiling set to g6a's own ip size the export is written; one
-    # coefficient less and it is refused before anything is written.
-    text, _ = modelgen.export(Instance.build(6, 2, G6A_EDGES), "ip")
+@pytest.mark.parametrize("model", modelgen.MODELS)
+def test_export_ceiling_exit_2(model, g6a_file, tmp_path, monkeypatch, capsys):
+    # With the ceiling set to g6a's own size for the model the export is
+    # written; one coefficient less and it is refused before anything is
+    # written.
+    text, _ = modelgen.export(Instance.build(6, 2, G6A_EDGES), model)
     nonzeros = sum(len(c.terms) for c in modelgen.parse_lp(text).constraints)
     monkeypatch.setattr(modelgen, "MAX_NONZEROS", nonzeros)
     written = tmp_path / "at.lp"
-    assert main(["export", g6a_file, "--model", "ip", "-o", str(written)]) == 0
+    assert main(["export", g6a_file, "--model", model, "-o", str(written)]) == 0
     assert written.read_text().endswith("End\n")
     monkeypatch.setattr(modelgen, "MAX_NONZEROS", nonzeros - 1)
     refused = tmp_path / "above.lp"
-    assert main(["export", g6a_file, "--model", "ip", "-o", str(refused)]) == 2
+    assert main(["export", g6a_file, "--model", model, "-o", str(refused)]) == 2
     _, err = capsys.readouterr()
     assert err.startswith(f"error: the model passes the export ceiling of {nonzeros - 1}")
     assert not refused.exists()

@@ -7,6 +7,7 @@ the expected objective value.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 import ddvop.modelgen as modelgen
 from conftest import complete_edges, path_edges, small_instances
 from ddvop.graph import Instance, extendable_k_cliques
+from ddvop.instgen import acceptance_corpus
 from ddvop.modelgen import (
     CLIQUE_MODELS,
     MODELS,
@@ -238,9 +240,9 @@ def test_export_counts_and_substitution(inst, model):
         assert obj == res.value
 
 
-class ReferenceLp(modelgen._Lp):
-    """_Lp rendering through the per-part expression and wrap loops that
-    the joined-text wrapper replaced."""
+class ReferenceLp:
+    """A parsed program rendered through per-part expression and wrap
+    loops, independent of the writer's joined-text rows."""
 
     @staticmethod
     def _expr(terms, const=0):
@@ -277,23 +279,32 @@ class ReferenceLp(modelgen._Lp):
         lines.append(cur)
         return lines
 
-
-def _export_with_lp(inst, model, unordered):
-    """export's text and the _Lp it rendered."""
-    built = []
-    render = modelgen._Lp.render
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelgen._Lp, "render", lambda lp: built.append(lp) or render(lp))
-        text, _ = export(inst, model, unordered)
-    return text, built[0]
+    @classmethod
+    def render(cls, prog, comments):
+        out = [f"\\ {c}" for c in comments]
+        out.append("Minimize")
+        out.extend(cls._wrap(" obj:", cls._expr(prog.obj_terms, prog.obj_const)))
+        out.append("Subject To")
+        for con in prog.constraints:
+            tail = f"{con.sense} {con.rhs}"
+            out.extend(cls._wrap(f" {con.name}:", cls._expr(con.terms), tail))
+        if prog.bounds:
+            out.append("Bounds")
+            out.extend(f" {lo} <= {var} <= {hi}" for var, (lo, hi) in prog.bounds.items())
+        for section, names in (("Binaries", prog.binaries), ("Generals", prog.generals)):
+            if names:
+                out.append(section)
+                out.extend(cls._wrap("", names))
+        out.append("End")
+        return "\n".join(out) + "\n"
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_instances(), st.sampled_from(MODELS), st.booleans())
 def test_render_matches_reference(inst, model, unordered):
-    text, lp = _export_with_lp(inst, model, unordered and model in CLIQUE_MODELS)
-    lp.__class__ = ReferenceLp
-    assert text == lp.render()
+    text, _ = export(inst, model, unordered and model in CLIQUE_MODELS)
+    comments = [line[2:] for line in text.splitlines() if line.startswith("\\ ")]
+    assert text == ReferenceLp.render(parse_lp(text), comments)
 
 
 # Lengths drawn uniformly, so parts longer than a line's budget are common.
@@ -311,7 +322,8 @@ _NAMES = st.integers(1, 88).flatmap(lambda k: st.text("xyz_0123", min_size=k, ma
 )
 def test_wrap_matches_reference(head, parts, tail):
     # Parts up to 90 characters, so one can pass a line's whole budget.
-    assert modelgen._Lp._wrap(head, parts, tail) == ReferenceLp._wrap(head, parts, tail)
+    lines = modelgen._Lp._wrap(head, "\0".join(parts), tail).split("\n")
+    assert lines == ReferenceLp._wrap(head, parts, tail)
 
 
 @given(
@@ -319,7 +331,48 @@ def test_wrap_matches_reference(head, parts, tail):
     st.integers(-40, 40),
 )
 def test_expr_matches_reference(terms, const):
-    assert modelgen._Lp._expr(terms, const) == ReferenceLp._expr(terms, const)
+    # The writer formats only nonzero terms; the reference drops the rest.
+    parts = [modelgen._term(coef, var) for coef, var in terms if coef]
+    joined = modelgen._Lp._join(parts, const)
+    assert joined.split("\0") == ReferenceLp._expr(terms, const)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances(), st.sampled_from(MODELS), st.booleans())
+def test_closed_form_nonzeros_are_exact(inst, model, unordered):
+    # export refuses past MAX_NONZEROS by its closed-form count, so that
+    # count equals the parsed text's exactly when the export is written at
+    # the parsed total and refused one below it.
+    unordered = unordered and model in CLIQUE_MODELS
+    text, summary = export(inst, model, unordered)
+    total = sum(len(c.terms) for c in parse_lp(text).constraints)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelgen, "MAX_NONZEROS", total)
+        assert export(inst, model, unordered) == (text, summary)
+        mp.setattr(modelgen, "MAX_NONZEROS", total - 1)
+        with pytest.raises(modelgen.ModelTooLargeError):
+            export(inst, model, unordered)
+
+
+# sha256 over every export of acceptance_corpus(), computed before rows
+# were rendered as they are added.  A change that moves one exported byte
+# fails here.
+ACCEPTANCE_EXPORTS_SHA256 = "cf66cced4e15edf1b62529b24443854ac5db256f63d62760fbec5bcd07954e1a"
+
+
+def test_acceptance_exports_are_pinned():
+    # Text and summary of each model and flag, or the refusal, byte for byte.
+    digest = hashlib.sha256()
+    for inst in acceptance_corpus():
+        for model in MODELS:
+            for unordered in ((False, True) if model in CLIQUE_MODELS else (False,)):
+                try:
+                    text, summary = export(inst, model, unordered)
+                    digest.update(text.encode())
+                    digest.update(repr(summary).encode())
+                except modelgen.ModelTooLargeError as exc:
+                    digest.update(str(exc).encode())
+    assert digest.hexdigest() == ACCEPTANCE_EXPORTS_SHA256
 
 
 def _holds(con, ones):
@@ -411,13 +464,15 @@ def test_minnodes_least_levels_cost_the_level_counts(fixture, request):
         ("cycles", 8, 6, complete_edges(8)),
         # 2 * 101^2 = 20 402 assign coefficients.
         ("ip", 101, 1, path_edges(101)),
+        # K_20 has 6 840 labelings of its 3-cliques, but 6 * 190 * 18 =
+        # 20 520 coefficients in its tri rows.
+        ("cycles", 20, 3, complete_edges(20)),
     ],
-    ids=["labelings", "assign"],
+    ids=["labelings", "assign", "later-row"],
 )
 def test_export_refused_before_building(model, n, K, edges, monkeypatch):
-    # With the ceiling at 20 000 the pick_clique row (one coefficient per
-    # labeling) or the assign rows (2n^2 coefficients) pass it alone, so
-    # the export is refused before it builds either.
+    # With the ceiling at 20 000 the closed-form count refuses each export
+    # before it builds a row, whichever row would pass the ceiling.
     inst = Instance.build(n, K, edges)
     monkeypatch.setattr(modelgen, "MAX_NONZEROS", 20_000)
     tracemalloc.start()

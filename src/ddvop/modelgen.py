@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import Clique, Instance, enumerate_cliques, extendable_k_cliques
+from .graph import Clique, Instance, enumerate_cliques, extendable_k_cliques, iter_cliques
 from .order import DoublePattern, VertexOrder, check_order
 from .witness_decomp import induce_witness_state
 
@@ -43,9 +43,11 @@ CLIQUE_MODELS = ("cycles", "ranks", "ccg")  # the models that read unordered_cli
 # peaks at 32 MB rss, n = 38 0.99 M at 52 MB, n = 40 (ceiling lifted)
 # 1.2 M at 60 MB.  So ip stops between n = 38 and 39.  The count is a
 # closed form (_nonzeros), so a refused export builds no row: ip,
-# minnodes and mp2 build nothing at all, and cycles, ranks and ccg only
-# enumerate the extendable K-cliques their count reads (complete K_100
-# with K = 3: 0.3 s and 47 MB rss before cycles is refused).
+# minnodes and mp2 build nothing at all.  cycles, ranks and ccg refuse
+# from their one-labeling count after a lazy probe finds a (K+1)-clique,
+# and otherwise enumerate the extendable K-cliques their count reads
+# (complete K_150 with K = 3 is refused at once, not after 1.8 s of
+# K-cliques at 114 MB rss).
 MAX_NONZEROS = 1_000_000
 
 
@@ -287,6 +289,13 @@ def _export_ip(inst: Instance, model: str) -> _Lp:
 
 def _export_ordering(inst: Instance, model: str, unordered: bool) -> _Lp:
     n, K = inst.n, inst.K
+    # A (K+1)-clique makes each of its K-subsets extendable, and the count
+    # only grows with labelings and triangles, so its one-labeling value
+    # refuses before any K-clique is enumerated.
+    least = _nonzeros(inst, model, 1, 0)
+    if least > MAX_NONZEROS and K < n:
+        if next(iter_cliques(inst, K + 1), None) is not None:
+            _refuse_past_ceiling(least)
     roots = extendable_k_cliques(inst)
     triangles = enumerate_cliques(inst, 3) if model == "ccg" else []
     kappas = len(roots) * (1 if unordered else math.factorial(K))

@@ -6,27 +6,28 @@ for a double.  Clique vertices are witnessed exactly by the rest of the
 clique, every neighbor of a clique vertex must use it as a witness, and
 the number of doubles is the number of K-sized witness sets (plus the
 one double the clique itself always forces).  The subproblem orders the
-witness digraph topologically; a directed cycle among non-clique
-vertices refutes the assignment and yields a cycle-breaking cut, which
+witness digraph topologically.  A directed cycle among non-clique
+vertices would refute the assignment; its cycle-breaking inequality
 counts only arcs whose tail is outside the clique, so it needs no lift
 (CycleCut gives the three cases).  Master and subproblem run as one
-branch-and-check search (Thorsteinsson, CP 2001): the subproblem checks
-every complete leaf of the master's tree, and a cut separated there
-joins the live pool without restarting the search.  Cutting the
-refuted leaves converges to an optimal order; the extended validator
-checks an accepted (clique, witnesses, doubles, order) against the full
-one-shot constraint set.  One greedy pass decides feasibility and gives the master its strict cutoff and its
-ranked roots; a greedy order with the 1 double every order has needs
-no master at all.  Before the master, every root gets its root_bound
-(the value `ddvop presolve` prints), each root one below the cutoff is asked whether the depth-3 lookahead
-(order.bound_reaches) reaches it, and the master skips a root whose bound
-reaches the cutoff: no order from it can beat the incumbent.  The
-2-cycle inequalities (two neighbors witness each other only inside the
-clique) act as a domain filter, not as cuts: a vertex draws its
-witnesses only from its free neighbors, those not already using it, so
-the cut pool starts empty and holds only the cycles of three or more
-vertices separated at leaves.  The master branches on the unassigned
-vertex with the fewest free neighbors.
+branch-and-check search (Thorsteinsson, CP 2001), and the master
+enforces the cycle-breaking inequalities lazily, at the node where one
+binds: a witness set whose arcs would close a cycle is refused when it
+is chosen, so every complete leaf is acyclic and the subproblem only
+orders it.  The extended validator checks an accepted (clique,
+witnesses, doubles, order) against the full one-shot constraint set.
+One greedy pass decides feasibility and gives the master its strict
+cutoff and its ranked roots; a greedy order with the 1 double every
+order has needs no master at all.  Before the master, every root gets
+its root_bound (the value `ddvop presolve` prints), each root one below
+the cutoff is asked whether the depth-3 lookahead (order.bound_reaches)
+reaches it, and the master skips a root whose bound reaches the cutoff:
+no order from it can beat the incumbent.  The 2-cycle inequalities (two
+neighbors witness each other only inside the clique) act as a domain
+filter: a vertex draws its witnesses only from its free neighbors,
+those not already using it, so every refused cycle has three or more
+vertices.  The master branches on the unassigned vertex with the fewest
+free neighbors.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .graph import Clique, Instance
 from .order import VertexOrder, bound_reaches, check_order, greedy_roots, root_bound
@@ -147,62 +147,15 @@ def _witness_succ(inst: Instance, state: WitnessState) -> dict[int, list[int]]:
     return succ
 
 
-def _find_cycle(succ: dict[int, list[int]]) -> tuple[Arc, ...]:
-    """First back-arc cycle, closed by the shortest return path.
-
-    Depth-first search from the smallest vertex; the first arc (v, u)
-    hitting a vertex on the active stack closes a cycle whose remaining
-    arcs are a breadth-first shortest path from u back to v.
-    """
-    color: dict[int, int] = {v: 0 for v in succ}
-
-    def dfs(v: int) -> Optional[Arc]:
-        color[v] = 1
-        for u in succ[v]:
-            if color[u] == 1:
-                return (v, u)
-            if color[u] == 0:
-                got = dfs(u)
-                if got is not None:
-                    return got
-        color[v] = 2
-        return None
-
-    back: Optional[Arc] = None
-    for root in sorted(succ):
-        if color[root] == 0:
-            back = dfs(root)
-            if back is not None:
-                break
-    assert back is not None, "no cycle in an acyclic digraph"
-    v, u = back
-    parent: dict[int, int] = {u: u}
-    queue = deque([u])
-    while v not in parent:
-        x = queue.popleft()
-        for y in succ[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return (back,) + tuple((path[i], path[i + 1]) for i in range(len(path) - 1))
-
-
-def sp2_check(
-    inst: Instance, state: WitnessState
-) -> Union[VertexOrder, tuple[Arc, ...]]:
-    """Topologically order the witness digraph, or find a cycle.
+def sp2_check(inst: Instance, state: WitnessState) -> Optional[VertexOrder]:
+    """Topologically order the witness digraph; None when it has a cycle.
 
     Witness arcs demand the witness first, but only between non-clique
     pairs; the clique occupies the first K+1 ranks (sorted by index) and
-    the rest follow in topological order with ties broken by index.
+    the rest follow in topological order with ties broken by index.  The
+    state itself is not checked: the master builds only valid, acyclic
+    states, and ef_validate is the full check of an accepted one.
     """
-    bad = state_violations(inst, state)
-    if bad:
-        raise ValueError("invalid witness state: " + "; ".join(bad))
     succ_w = _witness_succ(inst, state)
     # Precedence arcs run opposite to witness arcs: u before v when v uses u.
     indeg = {v: len(succ_w[v]) for v in succ_w}
@@ -221,7 +174,7 @@ def sp2_check(
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
     if len(topo) < len(succ_w):
-        return _find_cycle(succ_w)
+        return None
     return VertexOrder(tuple(sorted(state.clique)) + tuple(topo))
 
 
@@ -229,7 +182,8 @@ def sp2_check(
 class WitnessTrace:
     """Optional audit log of the master search.
 
-    cuts: every cut separated at a cyclic leaf, with that leaf's state.
+    cuts: every cycle the master refused, as a CycleCut with the partial
+    state that would have held it.
     accepted: the one (state, order) the solve returns as OPTIMAL.
     """
 
@@ -240,7 +194,6 @@ class WitnessTrace:
 def mp2_solve(
     inst: Instance,
     roots: Sequence[Clique],
-    cuts: list[CycleCut],
     cutoff: int,
     stats: Optional[SolveStats] = None,
     deadline: Deadline = Deadline(None),
@@ -259,41 +212,30 @@ def mp2_solve(
     drawn from them only, so no 2-cycle among non-clique vertices can
     form.  Non-double choices (K+1-sets) come before double ones
     (K-sets), each lexicographically.  `cutoff` counts y only, not the
-    +1 constant, and is strict.  sp2_check orders every complete leaf:
-    an acyclic leaf becomes the incumbent and lowers the cutoff to its
-    count; a cyclic one appends its cut (three or more arcs) to `cuts`
-    (the live pool, which may start non-empty; counted in stats.cuts and
-    logged with its leaf in trace.cuts) and the search goes on.  A cut
-    counts its chosen arcs with a tail outside the root's clique against
-    |cycle| - 1; only a cycle that avoids the clique can prune (see
-    CycleCut).  Each cut's slack is set once per call and kept by the
-    choices alone; a separated cut enters at -1, as its leaf chose every
-    arc of its cycle.
+    +1 constant, and is strict.
+
+    A choice that closes a cycle is refused before it is made: the
+    chosen witness arcs are walked breadth first from v's new non-clique
+    witnesses, and reaching v means the set would complete a cycle of
+    three or more arcs, all with tails outside the clique.  That is the
+    cycle-breaking inequality (CycleCut) enforced at the node where its
+    last arc is chosen, so every leaf is acyclic and sp2_check only
+    orders it; the leaf becomes the incumbent and lowers the cutoff to
+    its count.  Each refusal counts in stats.cuts; with a trace it is
+    logged in trace.cuts as a CycleCut (a shortest closing cycle) with
+    the partial state that would have held it (the arcs chosen so far
+    and the closing set).
 
     A root is skipped when its `bounds` entry (a lower bound on its
     doubles past rank K, aligned with `roots`; None: no root bound)
-    reaches the cutoff.  Branches are pruned on cuts whose slack falls
-    below 0, and by the forced-double bound: an unassigned
-    vertex with exactly K free neighbors must be a double, and one with
-    fewer can take no witness set.  The deadline is polled at every root
-    and every node.  Absent when every state is pruned.
+    reaches the cutoff.  Branches are pruned by the forced-double bound:
+    an unassigned vertex with exactly K free neighbors must be a double,
+    and one with fewer can take no witness set.  The deadline is polled
+    at every root and every node.  Absent when every state is pruned.
     """
     n, K = inst.n, inst.K
     best: Optional[tuple[WitnessState, VertexOrder]] = None
     adj = [sorted(inst.neighbors[v]) for v in range(n)]
-    arcs_by_cut: dict[Arc, list[int]] = {}
-    # slack[ci]: |cycle| - 1 less the cut's arcs now chosen.  Only
-    # non-clique vertices choose arcs, and every choice is undone before
-    # the next root, so no root recounts the pool.
-    slack: list[int] = []
-
-    def index(cut: CycleCut, chosen: int) -> None:
-        for a in cut.arcs:
-            arcs_by_cut.setdefault(a, []).append(len(slack))
-        slack.append(len(cut.arcs) - 1 - chosen)
-
-    for cut in cuts:
-        index(cut, 0)
 
     for i, cl in enumerate(roots):
         if deadline.expired():
@@ -315,43 +257,46 @@ def mp2_solve(
         if dead or forced >= cutoff:
             continue
         unassigned = [v not in members for v in range(n)]
-        # wit[v], ys[v]: the witness set and double bit v took.
+        # wit[v], ys[v]: the witness set and double bit v took; clique
+        # vertices keep (), so the walk stops at them.
         wit: list[tuple[int, ...]] = [()] * n
         ys = [0] * n
 
-        def leaf(ycount: int) -> None:
-            nonlocal best, cutoff
+        def state() -> WitnessState:
             arcs = list(clique_arcs)
             for v in rest:
                 arcs.extend((v, u) for u in wit[v])
-            state = WitnessState(
-                clique=members,
-                witness_arcs=frozenset(arcs),
-                doubles=tuple(ys),
-            )
-            got = sp2_check(inst, state)
-            if isinstance(got, VertexOrder):
-                best = (state, got)
-                cutoff = ycount
-                return
-            cut = CycleCut(got)
-            assert not cut.satisfied_by(state)
-            if stats is not None:
-                stats.cuts += 1
-            if trace is not None:
-                trace.cuts.append((cut, state))
-            cuts.append(cut)
-            # The leaf chose every arc of its cycle.
-            index(cut, len(cut.arcs))
+            return WitnessState(members, frozenset(arcs), tuple(ys))
+
+        def closing(v: int, extra: tuple[int, ...]) -> Optional[list[int]]:
+            """The cycle v, u, ..., x that witnessing v by extra closes."""
+            # parent[u]: the vertex whose witness u was first reached as.
+            parent = dict.fromkeys(extra, v)
+            queue = list(extra)
+            for x in queue:  # the list grows as it is read
+                for u in wit[x]:
+                    if u == v:
+                        cycle = [x]
+                        while parent[cycle[-1]] != v:
+                            cycle.append(parent[cycle[-1]])
+                        cycle.append(v)
+                        return cycle[::-1]
+                    if u not in parent:
+                        parent[u] = x
+                        queue.append(u)
+            return None
 
         def rec(depth: int, ycount: int) -> None:
-            nonlocal forced, dead
+            nonlocal forced, dead, best, cutoff
             if deadline.expired():
                 raise TimeoutError
             if ycount + forced >= cutoff:
                 return
             if depth == len(rest):
-                leaf(ycount)
+                leaf = state()
+                order = sp2_check(inst, leaf)
+                assert order is not None, "a cycle closed unrefused"
+                best, cutoff = (leaf, order), ycount
                 return
             # Every unassigned vertex has free >= K here (dead == 0), so
             # the first one with exactly K ends the scan.
@@ -377,12 +322,17 @@ def mp2_solve(
                     if stats is not None:
                         stats.choice_points += 1
                     wset = must + extra
-                    ok = True
+                    cycle = closing(v, extra)
+                    if cycle is not None:
+                        if stats is not None:
+                            stats.cuts += 1
+                        if trace is not None:
+                            wit[v], ys[v] = wset, y
+                            cut = CycleCut(tuple(zip(cycle, cycle[1:] + cycle[:1])))
+                            trace.cuts.append((cut, state()))
+                            wit[v], ys[v] = (), 0
+                        continue
                     for u in wset:
-                        for ci in arcs_by_cut.get((v, u), ()):
-                            slack[ci] -= 1
-                            if slack[ci] < 0:
-                                ok = False
                         if unassigned[u]:
                             free[u] -= 1
                             if free[u] == K:
@@ -390,15 +340,11 @@ def mp2_solve(
                             elif free[u] == K - 1:
                                 forced -= 1
                                 dead += 1
-                    if ok and not dead:
+                    if not dead:
                         wit[v], ys[v] = wset, y
                         rec(depth + 1, ycount + y)
-                        wit[v] = ()
+                        wit[v], ys[v] = (), 0
                     for u in wset:
-                        # Through the live index: a cut separated below this
-                        # assignment counted its arcs too.
-                        for ci in arcs_by_cut.get((v, u), ()):
-                            slack[ci] += 1
                         if unassigned[u]:
                             free[u] += 1
                             if free[u] == K + 1:
@@ -425,10 +371,10 @@ def solve_witness(
     order with 1 double is optimal, since every order has its rank-K
     double; it returns OPTIMAL with no master search either (iterations
     0): a master with cutoff 0 can find nothing.  Otherwise mp2_solve
-    looks for a state with fewer doubles than the greedy order, starting
-    from an empty cut pool, so stats.cuts and trace.cuts count every cut
-    in it.  When it finds none, the greedy order is
-    optimal and its induced state is the accepted one.  A completed
+    looks for a state with fewer doubles than the greedy order;
+    stats.cuts counts the cycles it refused.  When it finds none, the
+    greedy order is optimal and its induced state is the accepted one.
+    ef_validate checks the accepted state in full.  A completed
     search sets iterations to 1, even when the root bounds skip every
     root.  The root bounds are root_bound's one-step values; a root one
     below the cutoff gets the cutoff itself when the depth-3 lookahead
@@ -466,7 +412,7 @@ def solve_witness(
                         bounds[i] = cutoff
             finally:
                 lower = 1 + min(bounds)
-            found = mp2_solve(inst, roots, [], cutoff, stats, deadline, trace, bounds)
+            found = mp2_solve(inst, roots, cutoff, stats, deadline, trace, bounds)
             stats.iterations = 1
         if found is None:
             found = (induce_witness_state(inst, warm[0]), warm[0])

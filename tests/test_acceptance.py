@@ -265,7 +265,7 @@ def test_criterion_07_cut_validity(corpus_runs):
                 assert cut.satisfied_by(ist), (name, cut)
             cycles += 1
     assert benders + cycles > 0
-    print(f"criterion 7: PASS ({benders} cover cuts, {cycles} cycle cuts)")
+    print(f"criterion 7: PASS ({benders} cover cuts, {cycles} refused cycles)")
 
 
 def test_criterion_08_structural_properties(corpus_runs):
@@ -282,7 +282,7 @@ def test_criterion_08_structural_properties(corpus_runs):
                 if v in state.clique
             ), name
         for cut, state in run.witness_trace.cuts:
-            # Separated cycles never touch the generating clique.
+            # Refused cycles never touch the generating clique.
             assert not (cut.vertices & state.clique), (name, cut)
         for state, order in run.witness_trace.accepted:
             assert ef_validate(run.inst, state, order), name

@@ -98,7 +98,7 @@ def test_verify_counts_sees_a_wrong_table_count(g6a):
 
 
 @pytest.mark.parametrize("model", ["cycles", "ranks", "ccg"])
-def test_trivial_fallback_without_cliques(p5_k2, model):
+def test_trivial_fallback_without_cliques(p5_k2, model, monkeypatch):
     # The ordering models hang everything off extendable cliques; with
     # none present they degrade to an explicitly infeasible program.
     text, summary = export(p5_k2, model)
@@ -108,6 +108,10 @@ def test_trivial_fallback_without_cliques(p5_k2, model):
     for val in (0, 1):
         ok, _, _ = evaluate(prog, {"infeasible_dummy": val})
         assert not ok
+    # One labeling's count passes a ceiling of 2, but the path has no
+    # 3-clique, so no labeling: the two-row model is still written.
+    monkeypatch.setattr(modelgen, "MAX_NONZEROS", 2)
+    assert export(p5_k2, model) == (text, summary)
 
 
 def test_ip_needs_no_cliques(p5_k2):
@@ -482,3 +486,17 @@ def test_export_refused_before_building(model, n, K, edges, monkeypatch):
         assert tracemalloc.get_traced_memory()[1] < 1 << 18
     finally:
         tracemalloc.stop()
+
+
+def test_export_refused_before_enumerating_cliques(monkeypatch):
+    # Complete K_150 with K = 3 has 551 300 extendable K-cliques.  One
+    # labeling already puts its cycles rows past the ceiling, and a lazy
+    # probe finds a 4-clique, so none of them is enumerated.
+    inst = Instance.build(150, 3, complete_edges(150))
+
+    def refuse(inst):
+        raise AssertionError("extendable K-cliques enumerated")
+
+    monkeypatch.setattr(modelgen, "extendable_k_cliques", refuse)
+    with pytest.raises(modelgen.ModelTooLargeError):
+        export(inst, "cycles")

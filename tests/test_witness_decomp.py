@@ -1,4 +1,4 @@
-"""Arc-witness decomposition: states, cycle cuts, and the full loop."""
+"""Arc-witness decomposition: states, refused cycles, and the full loop."""
 
 import itertools
 import sys
@@ -15,6 +15,7 @@ from ddvop.graph import Instance, enumerate_cliques
 from ddvop.instgen import gen_random, gen_synthetic
 from ddvop.naive_decomp import solve_naive
 from ddvop.oracle import brute_optimum, enumerate_valid_orders
+from ddvop.solution import SolveStats
 from ddvop.order import (
     VertexOrder,
     bound_reaches,
@@ -60,10 +61,8 @@ def test_acyclic_state_yields_order(g6b, g6b_state):
 
 def test_cyclic_state_yields_cycle(g6b, g6b_state, g6b_cyclic_state):
     assert state_violations(g6b, g6b_cyclic_state) == []
-    got = sp2_check(g6b, g6b_cyclic_state)
-    assert isinstance(got, tuple)
-    assert set(got) == {(2, 4), (4, 2)}
-    cut = CycleCut(got)
+    assert sp2_check(g6b, g6b_cyclic_state) is None
+    cut = CycleCut(((2, 4), (4, 2)))
     assert cut.vertices == frozenset({2, 4})
     assert not cut.satisfied_by(g6b_cyclic_state)
     assert cut.satisfied_by(g6b_state)
@@ -117,14 +116,17 @@ def test_invalid_states_rejected(g6b, g6b_state):
         doubles=(0, 0, 0, 0, 0, 0),
     )
     assert any("witnesses" in s for s in state_violations(g6b, short))
-    with pytest.raises(ValueError):
-        sp2_check(g6b, short)
+    # sp2_check only orders the arcs; ef_validate checks the state too.
+    order = sp2_check(g6b, short)
+    assert order is not None and ef_validate(g6b, g6b_state, order)
+    assert not ef_validate(g6b, short, order)
     oversized = WitnessState(
         clique=frozenset({0, 1, 2, 3}),
         witness_arcs=g6b_state.witness_arcs,
         doubles=g6b_state.doubles,
     )
     assert state_violations(g6b, oversized)
+    assert not ef_validate(g6b, oversized, order)
 
 
 FROZEN = [
@@ -156,31 +158,28 @@ def three_cycle_cuts(inst):
     return cuts
 
 
+FAMILIES = {
+    "none": lambda inst: [],
+    "2cycles": two_cycle_cuts,
+    "2and3cycles": lambda inst: two_cycle_cuts(inst) + three_cycle_cuts(inst),
+}
+
+
 @pytest.mark.parametrize("fixture,status,objective", FROZEN)
-@pytest.mark.parametrize("seeds", ["none", "2cycles", "2and3cycles"])
-def test_frozen_objectives(fixture, status, objective, seeds, request, monkeypatch):
-    # solve_witness starts its master from an empty pool.  Every seed pool
-    # holds valid cuts only, so the frozen answers must not depend on
-    # which one the master starts from.
-    pools = {
-        "none": lambda i: [],
-        "2cycles": two_cycle_cuts,
-        "2and3cycles": lambda i: two_cycle_cuts(i) + three_cycle_cuts(i),
-    }
-    master = witness_decomp.mp2_solve
-
-    def seeded(inst, roots, cuts, *args):
-        assert cuts == []
-        return master(inst, roots, pools[seeds](inst), *args)
-
-    monkeypatch.setattr(witness_decomp, "mp2_solve", seeded)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_frozen_objectives(fixture, status, objective, family, request):
+    # The frozen answers, and an accepted state that satisfies every cut of
+    # the family: each is valid, and the master refuses a cycle as it closes.
     inst = request.getfixturevalue(fixture)
-    sol = solve_witness(inst)
+    trace = WitnessTrace()
+    sol = solve_witness(inst, trace=trace)
     assert sol.status == status
     assert sol.objective == objective
     if status == "OPTIMAL":
         report = check_order(inst, sol.order)
         assert report.is_dvop and report.double_count == objective
+        [(state, _)] = trace.accepted
+        assert all(cut.satisfied_by(state) for cut in FAMILIES[family](inst))
 
 
 @pytest.mark.parametrize(
@@ -197,11 +196,17 @@ def test_induced_states(fixture, request):
         assert ef_validate(inst, state, order)
 
 
-@pytest.mark.parametrize("fixture", ["g6a", "g6b", "wheel6"])
-def test_manual_loop_cut_soundness(fixture, request):
-    # One master search from an empty pool and no cutoff: separated cycles
-    # avoid the leaf's clique, each cut kills its own leaf, and no cut ever
-    # excludes a state induced by an optimal order.
+@pytest.mark.parametrize(
+    "fixture,refusals",
+    [
+        pytest.param(f, r, id=f)
+        for f, r in (("g6a", 0), ("g6b", 0), ("wheel6", 0), ("separating", 2))
+    ],
+)
+def test_manual_loop_cut_soundness(fixture, refusals, request):
+    # One master search with no cutoff: refused cycles avoid the clique,
+    # each is violated by the partial state that would have closed it, and
+    # none excludes a state induced by an optimal order.
     inst = request.getfixturevalue(fixture)
     ref = brute_optimum(inst, "min-double")
     _, walker = enumerate_valid_orders(inst)
@@ -211,31 +216,35 @@ def test_manual_loop_cut_soundness(fixture, request):
         if check_order(inst, o).double_count == ref.value
     ]
     _, roots = greedy_roots(inst)
-    cuts, trace = [], WitnessTrace()
-    state, order = mp2_solve(inst, roots, cuts, inst.n, trace=trace)
+    stats, trace = SolveStats(), WitnessTrace()
+    state, order = mp2_solve(inst, roots, inst.n, stats, trace=trace)
     report = check_order(inst, order)
     assert report.is_dvop
     assert report.double_count == state.y_sum + 1 == ref.value
-    assert [cut for cut, _ in trace.cuts] == cuts
-    for cut, leaf in trace.cuts:
-        assert all(v not in leaf.clique for arc in cut.arcs for v in arc)
-        assert not cut.satisfied_by(leaf)
+    assert len(trace.cuts) == stats.cuts == refusals
+    for cut, partial in trace.cuts:
+        assert all(v not in partial.clique for arc in cut.arcs for v in arc)
+        assert not cut.satisfied_by(partial)
         for induced in optimal_states:
             assert cut.satisfied_by(induced)
 
 
-@pytest.mark.parametrize("pool", ["empty", "2cycles"])
+@pytest.mark.parametrize("family", ["empty", "2cycles"])
 @pytest.mark.parametrize("args", [(9, 0.4, 2, 383), (10, 0.7, 3, 525)])
-def test_master_alone_is_exact(args, pool):
-    # With no greedy cutoff the master reaches the optimum by itself.  A cut
-    # separated mid-search counts arcs assigned before it existed, so undoing
-    # an assignment must also give its slack back; a stale slack over-prunes.
+def test_master_alone_is_exact(args, family):
+    # With no greedy cutoff the master reaches the optimum by itself, past
+    # 25 and 507 refused cycles: a refusal must leave the free counts as
+    # it found them, or the search over-prunes.  Its state satisfies every
+    # cut of the family.
     inst = gen_random(*args)
     _, roots = greedy_roots(inst)
-    cuts = [] if pool == "empty" else two_cycle_cuts(inst)
-    state, order = mp2_solve(inst, roots, cuts, inst.n)
+    stats = SolveStats()
+    state, order = mp2_solve(inst, roots, inst.n, stats)
+    assert stats.cuts > 0
     assert check_order(inst, order).double_count == state.y_sum + 1
     assert state.y_sum + 1 == brute_optimum(inst, "min-double").value
+    cuts = [] if family == "empty" else two_cycle_cuts(inst)
+    assert all(cut.satisfied_by(state) for cut in cuts)
 
 
 # Optimum 2 needs a vertex to use a neighbor assigned before it; a master
@@ -252,10 +261,10 @@ LATE_WITNESS = Instance.build(
 @given(small_instances())
 @example(LATE_WITNESS)
 def test_master_alone_matches_oracle(inst):
-    # From an empty pool, every root and no cutoff, the master by itself
-    # finds the optimum, or nothing exactly when no valid order exists.
+    # From every root and no cutoff, the master by itself finds the
+    # optimum, or nothing exactly when no valid order exists.
     ref = brute_optimum(inst, "min-double")
-    found = mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), [], inst.n)
+    found = mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), inst.n)
     if ref is None:
         assert found is None
     else:
@@ -266,29 +275,30 @@ def test_master_alone_matches_oracle(inst):
 @settings(deadline=None, max_examples=60)
 @given(small_instances())
 def test_master_forms_no_two_cycle(inst):
-    # Witnesses come from free neighbors only, so no leaf holds a pair of
-    # arcs (v, u), (u, v) between non-clique vertices, and every cut the
-    # master separates closes a cycle of three or more arcs.
+    # Witnesses come from free neighbors only, so neither a leaf nor the
+    # partial state of a refusal holds a pair of arcs (v, u), (u, v)
+    # between non-clique vertices, and every refused cycle has three or
+    # more arcs.
     leaves = []
 
     def check(inst, state):
         leaves.append(state)
         return sp2_check(inst, state)
 
+    trace = WitnessTrace()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(witness_decomp, "sp2_check", check)
-        cuts = []
-        mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), cuts, inst.n)
-    for state in leaves:
+        mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), inst.n, trace=trace)
+    for state in leaves + [partial for _, partial in trace.cuts]:
         for v, u in state.witness_arcs:
             if v not in state.clique and u not in state.clique:
                 assert (u, v) not in state.witness_arcs
-    assert all(len(cut.arcs) >= 3 for cut in cuts)
+    assert all(len(cut.arcs) >= 3 for cut, _ in trace.cuts)
 
 
-# The master separates two 3-cycle cuts.  Each fits inside the initial
-# clique of some valid order, whose induced state holds all its arcs with
-# clique tails; a cut that counted those arcs would refuse that order.
+# The master refuses two 3-cycles.  Each fits inside the initial clique of
+# some valid order, whose induced state holds all its arcs with clique
+# tails; a cut that counted those arcs would refuse that order.
 CLIQUE_CYCLE = Instance.build(
     6, 2, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (4, 5)]
 )
@@ -298,13 +308,26 @@ CLIQUE_CYCLE = Instance.build(
 @given(small_instances())
 @example(CLIQUE_CYCLE)
 def test_cuts_hold_for_every_valid_order(inst):
-    # From an empty pool, every root and no cutoff: each separated cut
-    # refuses its own leaf and keeps the induced state of every valid
-    # order (the first 3000 in lexicographic order).
+    # From every root and no cutoff: sp2_check orders every leaf the master
+    # reaches; each refused cycle has three or more arcs, avoids its clique
+    # and is violated by its partial state; and every refusal keeps the
+    # induced state of every valid order (the first 3000 in lexicographic
+    # order).
+    checked = []
+
+    def check(inst, state):
+        checked.append(sp2_check(inst, state))
+        return checked[-1]
+
     trace = WitnessTrace()
-    mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), [], inst.n, trace=trace)
-    for cut, leaf in trace.cuts:
-        assert not cut.satisfied_by(leaf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_decomp, "sp2_check", check)
+        mp2_solve(inst, enumerate_cliques(inst, inst.K + 1), inst.n, trace=trace)
+    assert None not in checked
+    for cut, partial in trace.cuts:
+        assert len(cut.arcs) >= 3
+        assert not cut.vertices & partial.clique
+        assert not cut.satisfied_by(partial)
     if not trace.cuts:
         return
     _, walker = enumerate_valid_orders(inst)
@@ -315,16 +338,17 @@ def test_cuts_hold_for_every_valid_order(inst):
 
 @pytest.fixture
 def separating():
-    """An instance whose master, with no root bounds, separates two
-    3-cycle cuts over 24 root cliques.  The root bounds skip every root,
-    so solve_witness separates none."""
+    """An instance whose master, with no root bounds, refuses two 3-cycles
+    over 24 root cliques.  The root bounds skip every root, so
+    solve_witness refuses none."""
     return gen_synthetic(3, 2, 0.1, 9, 11)
 
 
 @pytest.fixture
 def cutting():
-    """An acceptance instance whose master separates 3- and 4-cycle cuts
-    with every root bound on; its greedy order (5 doubles) is optimal."""
+    """An acceptance instance whose master refuses 84 cycles of 3 and 4
+    arcs with every root bound on; its greedy order (5 doubles) is
+    optimal."""
     return gen_random(10, 0.5, 3, 123)
 
 
@@ -332,14 +356,15 @@ def test_trace_hooks(cutting):
     trace = WitnessTrace()
     sol = solve_witness(cutting, trace=trace)
     assert sol.status == "OPTIMAL" and sol.objective == 5
-    assert sol.stats.iterations == 1 and sol.stats.cuts >= 1
+    assert sol.stats.iterations == 1 and sol.stats.cuts == 84
     assert len(trace.cuts) == sol.stats.cuts
     assert {len(cut.arcs) for cut, _ in trace.cuts} == {3, 4}
     assert len(trace.accepted) == 1
     state, order = trace.accepted[0]
     assert ef_validate(cutting, state, order)
-    for cut, cut_state in trace.cuts:
-        assert not cut.satisfied_by(cut_state)
+    for cut, partial in trace.cuts:
+        assert not cut.vertices & partial.clique
+        assert not cut.satisfied_by(partial)
 
 
 def test_greedy_once_per_root(separating, monkeypatch):

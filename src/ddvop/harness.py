@@ -41,8 +41,8 @@ DOUBLE_ONLY_METHODS = ("naive", "witness")
 # The greedy and root-bound passes of naive and witness set no lower
 # cap: greedy is O(c(n + m)) for c root cliques and polls the deadline
 # after each one, and the bound polls it before each O(n + m) relaxation
-# pass (on all 399 roots of a 400-vertex path they take about 0.13 s
-# and 0.14 s).
+# pass (on all 399 roots of a 400-vertex path they take about 0.11 s
+# and 0.18 s, Python 3.11 on a 2-core host).
 MAX_N = 500
 
 # The solve stats CSV prints RESULT_HEADER; a bench row prefixes the instance.

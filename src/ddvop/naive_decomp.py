@@ -269,23 +269,21 @@ def deepening_start(inst: Instance, deadline: Deadline = Deadline(None)) -> int:
     Read once the pattern with no free double has failed: then no root
     has bound 0, since its closure would be an order meeting that
     pattern, and the first cut already makes every pattern take a free
-    double.  After the root_bound scan, the roots at the least bound
-    are asked whether the depth-MAX_DEPTH lookahead (order.bound_reaches)
-    lifts them to one more; the least rises only when every one of them
-    is lifted.  A root with bound 1 is asked at once: when it stays at
-    1, no other root can beat it and the scan stops there, and when it
-    is lifted it counts as 2.  Every valid order starts with some root,
-    so the least bound is a count of free doubles every order needs.
+    double.  Each root_bound is lifted to 2, so a root left at 1 by the
+    depth-MAX_DEPTH lookahead ends the scan: no other root can beat it.
+    After the scan, the roots at the least bound are asked whether the
+    same lookahead (order.bound_reaches) lifts them to one more; the
+    least rises only when every one of them is lifted.  Every valid
+    order starts with some root, so the least bound is a count of free
+    doubles every order needs.
     With no completable root it is 0: infeasibility stays for the master
     and the IIS filter to prove.  Both bounds poll the deadline.
     """
     least, ties = inf, []
     for clique in iter_cliques(inst, inst.K + 1):
-        bound = root_bound(inst, clique, deadline)
+        bound = root_bound(inst, clique, deadline, lift_to=2)
         if bound == 1:
-            if not bound_reaches(inst, clique, 2, deadline=deadline):
-                return 1
-            bound = 2
+            return 1
         if bound < least:
             least, ties = bound, []
         if bound == least:

@@ -15,13 +15,14 @@ doubles[r] for that indicator, the level widths are
 
 and the tree size is sum(nodes).
 
-Greedy search completes one order per initial (K+1)-clique; root_bound
-gives each such root a lower bound on the doubles past rank K of every
-order that starts with it, and bound_reaches tests whether the same
-lookahead, recursed to depth MAX_DEPTH, lifts that bound to a threshold;
-both scan their branches with _branches_reach.  All keep each vertex's
-count of placed neighbors, so one completion or one relaxation pass
-costs O(n + m).
+Greedy search completes one order per initial (K+1)-clique, counting
+its doubles as it places them; root_bound gives each such root a lower
+bound on the doubles past rank K of every order that starts with it,
+lifted in the same pass to a threshold its caller names, and
+bound_reaches tests whether the lookahead, recursed to depth MAX_DEPTH,
+reaches a threshold; both scan their branches with _branches_reach.
+All keep each vertex's count of placed neighbors, so one completion or
+one relaxation pass costs O(n + m).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _placed_counts(inst: Instance, members) -> tuple[list[bool], list[int]]:
 
 def greedy_from_clique(
     inst: Instance, clique: Clique
-) -> Optional[tuple[VertexOrder, OrderReport]]:
+) -> Optional[tuple[VertexOrder, int]]:
     """Greedy completion from one initial clique (placed in sorted order).
 
     The unplaced vertex with the most adjacent placed predecessors is
@@ -153,7 +154,8 @@ def greedy_from_clique(
     placed neighbors, and a bucket queue (one vertex bitmask per count)
     yields the next vertex: a placement costs O(deg) count updates, so a
     completion is O(n + m) bucket operations rather than a rescan of
-    every vertex per step.
+    every vertex per step.  Returns the order and its double count: the
+    double at rank K, plus one per placement drawn from bucket K.
     """
     n, K = inst.n, inst.K
     perm = list(clique.members)
@@ -167,11 +169,13 @@ def greedy_from_clique(
             buckets[c] |= 1 << v
             if c > top:
                 top = c
+    doubles = 1
     while len(perm) < n:
         while top >= K and not buckets[top]:
             top -= 1
         if top < K:
             return None
+        doubles += top == K
         ties = buckets[top]
         v = (ties & -ties).bit_length() - 1
         buckets[top] = ties ^ (1 << v)
@@ -185,8 +189,7 @@ def greedy_from_clique(
                 buckets[c + 1] |= 1 << u
                 if c + 1 > top:
                     top = c + 1
-    order = VertexOrder(tuple(perm))
-    return order, check_order(inst, order)
+    return VertexOrder(tuple(perm)), doubles
 
 
 class _Relaxed:
@@ -267,26 +270,33 @@ class _Relaxed:
 
 
 def root_bound(
-    inst: Instance, clique: Clique, deadline: Deadline = Deadline(None)
+    inst: Instance,
+    clique: Clique,
+    deadline: Deadline = Deadline(None),
+    *,
+    lift_to: float = inf,
 ) -> float:
     """Lower bound on the doubles past rank K of any valid order from `clique`.
 
-    A relaxation of the order with one step of lookahead.  stalls(C)
-    alternates two steps from C until every vertex is placed: a closure
-    places every vertex with more than K placed neighbors, and a stall
-    places every vertex with exactly K and counts 1.  Both steps are
-    monotone in the placed set, so by induction, after j stalls the set
-    holds the prefix of any valid order from C that ends before its
-    (j+1)-th double past rank K: stalls(C) is at most that order's count
-    of such doubles (Lavor, Lee, Lee-St. John, Liberti, Mucherino and
-    Sviridenko, Optim. Lett. 2012, in counting form).  When a stall has
-    nothing to place, C cannot be completed and the bound is infinite.
+    A relaxation of the order with lookahead.  stalls(C) alternates two
+    steps from C until every vertex is placed: a closure places every
+    vertex with more than K placed neighbors, and a stall places every
+    vertex with exactly K and counts 1.  Both steps are monotone in the
+    placed set, so by induction, after j stalls the set holds the prefix
+    of any valid order from C that ends before its (j+1)-th double past
+    rank K: stalls(C) is at most that order's count of such doubles
+    (Lavor, Lee, Lee-St. John, Liberti, Mucherino and Sviridenko, Optim.
+    Lett. 2012, in counting form).  When a stall has nothing to place, C
+    cannot be completed and the bound is infinite.
 
-    The lookahead is bound_reaches' at depth 1, whose docstring holds
-    its proof: with R the closure of C, the bound is 0 when R is every
-    vertex, and otherwise stalls(R) or 1 + stalls(R), the latter exactly
-    when bound_reaches(clique, 1 + stalls(R), 1) says yes: when every
-    branch close(R + v) still stalls stalls(R) times.
+    The lookahead is bound_reaches', whose docstring holds its proof:
+    with R the closure of C, the bound is 0 when R is every vertex, and
+    otherwise plain = stalls(R) or 1 + plain, the latter exactly when
+    every branch close(R + v) reaches plain one depth down: at depth 1
+    (the one-step bound), or at MAX_DEPTH when 1 + plain is `lift_to`.
+    So a bound one below `lift_to` is raised to it exactly when
+    bound_reaches(lift_to) says yes, in the same pass; by default no
+    bound is lifted.
 
     Each pass costs O(n + m).  The deadline (by default none) is polled
     before every pass; TimeoutError is raised when it has expired.
@@ -300,20 +310,17 @@ def root_bound(
     plain = closed.copy().stalls()
     if plain == inf:
         return inf  # every lookahead term is infinite too, by monotonicity
-    return plain + _branches_reach(closed, plain + 1, 1, deadline)
+    depth = MAX_DEPTH if plain + 1 == lift_to else 1
+    return plain + _branches_reach(closed, plain + 1, depth, deadline)
 
 
-MAX_DEPTH = 3  # the deepest lookahead bound_reaches is asked at
+MAX_DEPTH = 3  # the deepest lookahead root_bound and bound_reaches ask
 
 
 def bound_reaches(
-    inst: Instance,
-    clique: Clique,
-    t: float,
-    depth: int = MAX_DEPTH,
-    deadline: Deadline = Deadline(None),
+    inst: Instance, clique: Clique, t: float, deadline: Deadline = Deadline(None)
 ) -> bool:
-    """Whether the depth-`depth` lookahead bound of `clique` reaches `t`.
+    """Whether the depth-MAX_DEPTH lookahead bound of `clique` reaches `t`.
 
     root_bound's relaxation, recursed and asked as a threshold test.  At
     a closed relaxed state R, bound_d(R) is 0 when R holds every vertex;
@@ -340,14 +347,13 @@ def bound_reaches(
     depth d - 1, which stops at the first no.  A state answers from its
     own pass whenever that pass reaches its threshold, whatever its
     depth, so a shallower ask that says yes makes exactly the passes of
-    the MAX_DEPTH ask (the default): one MAX_DEPTH ask answers for every
-    depth, in no more passes than asking them in turn.  There is no
-    memo.  Each depth multiplies a root's work by at most its exactly-K
-    level's size, over the O(n + m) pass.  The deadline (by default
-    none) is polled before every pass; TimeoutError is raised when it has
-    expired.
+    the MAX_DEPTH ask: one MAX_DEPTH ask answers for every depth, in no
+    more passes than asking them in turn.  There is no memo.  Each depth
+    multiplies a root's work by at most its exactly-K level's size, over
+    the O(n + m) pass.  The deadline (by default none) is polled before
+    every pass; TimeoutError is raised when it has expired.
     """
-    return _reaches(_Relaxed(inst, clique.members), t, depth, deadline)
+    return _reaches(_Relaxed(inst, clique.members), t, MAX_DEPTH, deadline)
 
 
 def _reaches(state: _Relaxed, t: float, depth: int, deadline: Deadline) -> bool:
@@ -388,9 +394,9 @@ def greedy_roots(
 
     One greedy completion per clique, in lexicographic clique order.  The
     order is the completion with the fewest doubles (first clique wins
-    ties), or None.  The cliques are sorted by their completion's double
-    count, those whose walk dead-ends last; the sort is stable, so ties
-    keep the lexicographic clique order.
+    ties) with its check_order report, or None.  The cliques are sorted
+    by their completion's double count, those whose walk dead-ends last;
+    the sort is stable, so ties keep the lexicographic clique order.
 
     The pass stops early in two cases, and then ranks only the cliques
     completed so far.  A completion with 1 double stops it: rank K is a
@@ -401,18 +407,19 @@ def greedy_roots(
     the deadline with no completion does not prove infeasibility, so the
     caller must poll the deadline itself before reading None that way.
     """
-    best: Optional[tuple[VertexOrder, OrderReport]] = None
+    best: Optional[tuple[VertexOrder, int]] = None
     scored = []
     for clique in iter_cliques(inst, inst.K + 1):
         got = greedy_from_clique(inst, clique)
-        scored.append((got[1].double_count if got else inst.n + 1, clique))
-        if got is not None and (best is None or got[1].double_count < best[1].double_count):
+        scored.append((got[1] if got else inst.n + 1, clique))
+        if got is not None and (best is None or got[1] < best[1]):
             best = got
-            if best[1].double_count == 1:
+            if best[1] == 1:
                 break
         if deadline.expired():
             break
-    return best, [c for _, c in sorted(scored, key=lambda s: s[0])]
+    warm = None if best is None else (best[0], check_order(inst, best[0]))
+    return warm, [c for _, c in sorted(scored, key=lambda s: s[0])]
 
 
 def greedy_dvop(inst: Instance) -> Optional[tuple[VertexOrder, OrderReport]]:

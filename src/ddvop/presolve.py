@@ -3,8 +3,8 @@
 One line per initial (K+1)-clique, in lexicographic order: the clique
 and its order.root_bound, the one-step lower bound on the doubles past
 rank K of every valid order that starts with it.  Witness and naive
-compute the same bounds for their own use; the least of them, plus the
-double at rank K, is the lower_bound a solve reports before any search.
+lift some of these bounds by the depth-3 lookahead, so the least bound
+plus one is at most the lower_bound a solve proves before any search.
 """
 
 from __future__ import annotations

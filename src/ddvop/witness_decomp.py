@@ -19,15 +19,15 @@ witnesses, doubles, order) against the full one-shot constraint set.
 One greedy pass decides feasibility and gives the master its strict
 cutoff and its ranked roots; a greedy order with the 1 double every
 order has needs no master at all.  Before the master, every root gets
-its root_bound (the value `ddvop presolve` prints), each root one below
-the cutoff is asked whether the depth-3 lookahead (order.bound_reaches)
-reaches it, and the master skips a root whose bound reaches the cutoff:
-no order from it can beat the incumbent.  The 2-cycle inequalities (two
-neighbors witness each other only inside the clique) act as a domain
-filter: a vertex draws its witnesses only from its free neighbors,
-those not already using it, so every refused cycle has three or more
-vertices.  The master branches on the unassigned vertex with the fewest
-free neighbors.
+its root_bound lifted to the cutoff (the value `ddvop presolve` prints,
+or the cutoff when that is one below it and the depth-3 lookahead
+reaches it), and the master skips a root whose bound reaches the
+cutoff: no order from it can beat the incumbent.  The 2-cycle
+inequalities (two neighbors witness each other only inside the clique)
+act as a domain filter: a vertex draws its witnesses only from its free
+neighbors, those not already using it, so every refused cycle has three
+or more vertices.  The master branches on the unassigned vertex with
+the fewest free neighbors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graph import Clique, Instance
-from .order import VertexOrder, bound_reaches, check_order, greedy_roots, root_bound
+from .order import VertexOrder, check_order, greedy_roots, root_bound
 from .solution import Deadline, Solution, SolveStats
 
 Arc = tuple[int, int]
@@ -376,15 +376,15 @@ def solve_witness(
     greedy order is optimal and its induced state is the accepted one.
     ef_validate checks the accepted state in full.  A completed
     search sets iterations to 1, even when the root bounds skip every
-    root.  The root bounds are root_bound's one-step values; a root one
-    below the cutoff gets the cutoff itself when the depth-3 lookahead
-    reaches it (order.bound_reaches).  No other root can be lifted to
-    the cutoff, and the master reads no bound above it.  The greedy pass
-    polls the deadline after each root, and both bound passes before
-    each relaxation pass; on TIMEOUT the incumbent is the best greedy
-    order, or none, and lower_bound is 1 + the least root bound known
-    when the deadline expired (the roots lifted so far count), or 1 when
-    it expired before the one-step pass ended.
+    root.  The root bounds come from one root_bound pass, lifted to the
+    cutoff: a root one below it gets the cutoff when the depth-3
+    lookahead reaches it.  No other root can be lifted to the cutoff,
+    and the master reads no bound above it.  The greedy pass polls the
+    deadline after each root,
+    and the bound pass before each relaxation pass; on TIMEOUT the
+    incumbent is the best greedy order, or none, and lower_bound is
+    1 + the least root bound when the bound pass ended, or 1 when the
+    deadline expired before it did.
     """
     stats = SolveStats()
     t0 = time.monotonic()
@@ -403,15 +403,8 @@ def solve_witness(
         found = None
         if warm[1].double_count > 1:
             cutoff = warm[1].double_count - 1
-            bounds = [root_bound(inst, cl, deadline) for cl in roots]
-            try:
-                for i, clique in enumerate(roots):
-                    if bounds[i] == cutoff - 1 and bound_reaches(
-                        inst, clique, cutoff, deadline=deadline
-                    ):
-                        bounds[i] = cutoff
-            finally:
-                lower = 1 + min(bounds)
+            bounds = [root_bound(inst, cl, deadline, lift_to=cutoff) for cl in roots]
+            lower = 1 + min(bounds)
             found = mp2_solve(inst, roots, cutoff, stats, deadline, trace, bounds)
             stats.iterations = 1
         if found is None:

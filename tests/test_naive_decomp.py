@@ -443,7 +443,7 @@ def test_deepening_start_stops_at_bound_one(g6a, wheel6, monkeypatch):
     # least bound, 2, needs every root.
     calls, bound = [], root_bound
     monkeypatch.setattr(
-        naive_decomp, "root_bound", lambda *a: calls.append(a[1]) or bound(*a)
+        naive_decomp, "root_bound", lambda *a, **k: calls.append(a[1]) or bound(*a, **k)
     )
     assert deepening_start(g6a) == 1
     assert calls == enumerate_cliques(g6a, 3)[:1]

@@ -139,21 +139,35 @@ def rescan_from_clique(inst, clique):
         perm.append(best_v)
         placed |= 1 << best_v
     order = VertexOrder(tuple(perm))
-    return order, check_order(inst, order)
+    return order, check_order(inst, order).double_count
 
 
 @settings(deadline=None)
 @given(small_instances())
 def test_greedy_matches_rescanning_reference(inst):
-    # The bucket queue picks exactly the vertex a full rescan picks, and
-    # greedy_roots keeps the first completion with the fewest doubles.
+    # The bucket queue picks exactly the vertex a full rescan picks and
+    # counts the doubles check_order counts, and greedy_roots keeps the
+    # first completion with the fewest doubles.
     want = None
     for clique in enumerate_cliques(inst, inst.K + 1):
         ref = rescan_from_clique(inst, clique)
         assert greedy_from_clique(inst, clique) == ref
-        if ref is not None and (want is None or ref[1].double_count < want[1].double_count):
+        if ref is not None and (want is None or ref[1] < want[1]):
             want = ref
-    assert greedy_dvop(inst) == want
+    assert greedy_dvop(inst) == (want and (want[0], check_order(inst, want[0])))
+
+
+def test_greedy_checks_only_the_winner(g6a, monkeypatch):
+    # Greedy counts its doubles as it places them, so a full pass (g6a's
+    # best completion has 2 doubles) runs check_order once, on the winner.
+    calls, check = [], order_module.check_order
+    monkeypatch.setattr(
+        order_module, "check_order", lambda i, o: calls.append(o) or check(i, o)
+    )
+    best, ranked = greedy_roots(g6a)
+    assert len(ranked) == len(enumerate_cliques(g6a, 3))
+    assert best[1].double_count == 2
+    assert calls == [best[0]]
 
 
 def count_completions(monkeypatch):
@@ -180,7 +194,7 @@ def test_greedy_polls_deadline_per_completion(monkeypatch):
     calls = count_completions(monkeypatch)
     best, ranked = greedy_roots(inst, Deadline(0.0))
     assert len(calls) == len(ranked) == 1
-    assert best == rescan_from_clique(inst, ranked[0])
+    assert (best[0], best[1].double_count) == rescan_from_clique(inst, ranked[0])
     assert len(greedy_roots(inst, Deadline(None))[1]) == 11
 
 
@@ -254,6 +268,13 @@ def test_root_bound_polls_deadline_per_pass():
     assert root_bound(inst, Clique((199, 200)), Deadline(None)) == 200
 
 
+def reaches(inst, clique, t, depth):
+    """bound_reaches asked at `depth` instead of MAX_DEPTH."""
+    return order_module._reaches(
+        order_module._Relaxed(inst, clique.members), t, depth, Deadline(None)
+    )
+
+
 @settings(deadline=None, max_examples=150)
 @given(small_instances())
 def test_bound_reaches_sound_and_monotone(inst):
@@ -262,7 +283,7 @@ def test_bound_reaches_sound_and_monotone(inst):
     for clique in enumerate_cliques(inst, inst.K + 1):
         best, one = root_optimum(inst, clique.members), root_bound(inst, clique)
         for t in range(inst.n - inst.K + 1):
-            answers = [bound_reaches(inst, clique, t, d) for d in range(4)]
+            answers = [reaches(inst, clique, t, d) for d in range(4)]
             assert not answers[-1] or t <= best
             assert answers[1] == (one >= t)
             assert all(a <= b for a, b in zip(answers, answers[1:]))
@@ -273,9 +294,9 @@ def test_bound_reaches_beats_one_step(p5_k1):
     # deeper test reaches the root's optimum, 3 (order 1, 2, 0, 3, 4).
     root = Clique((1, 2))
     assert root_bound(p5_k1, root) == 2 == root_optimum(p5_k1, root.members) - 1
-    assert not bound_reaches(p5_k1, root, 3, 1)
-    assert bound_reaches(p5_k1, root, 3, 3)
-    assert not bound_reaches(p5_k1, root, 4, 3)
+    assert not reaches(p5_k1, root, 3, 1)
+    assert bound_reaches(p5_k1, root, 3)
+    assert not bound_reaches(p5_k1, root, 4)
 
 
 def test_bound_reaches_polls_deadline_per_pass():
@@ -290,12 +311,12 @@ def test_bound_reaches_polls_deadline_per_pass():
             return len(polls) > 1
 
     with pytest.raises(TimeoutError):
-        bound_reaches(inst, Clique((199, 200)), 200, 3, SecondPoll())
+        bound_reaches(inst, Clique((199, 200)), 200, SecondPoll())
     assert len(polls) == 2
     with pytest.raises(TimeoutError):
-        bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(0.0))
-    assert bound_reaches(inst, Clique((199, 200)), 200, 3, Deadline(None))
-    assert not bound_reaches(inst, Clique((199, 200)), 201, 3, Deadline(None))
+        bound_reaches(inst, Clique((199, 200)), 200, Deadline(0.0))
+    assert bound_reaches(inst, Clique((199, 200)), 200, Deadline(None))
+    assert not bound_reaches(inst, Clique((199, 200)), 201, Deadline(None))
 
 
 def one_step_root_bound(inst, clique, deadline):
@@ -360,10 +381,29 @@ def test_default_depth_answers_for_every_depth(inst):
         for clique in enumerate_cliques(inst, inst.K + 1):
             t = root_bound(inst, clique) + 1
             start = len(calls)
-            want = any(bound_reaches(inst, clique, t, d) for d in range(2, MAX_DEPTH + 1))
+            want = any(reaches(inst, clique, t, d) for d in range(2, MAX_DEPTH + 1))
             mid = len(calls)
             assert bound_reaches(inst, clique, t) == want
             assert len(calls) - mid <= mid - start
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_instances())
+def test_root_bound_lifts_to_threshold(inst):
+    # root_bound(lift_to=t) is the two-step answer: the one-step bound,
+    # or t when that is t - 1 and the deeper test reaches t; and it makes
+    # no more passes than the two steps.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_stalls(mp)
+        for clique in enumerate_cliques(inst, inst.K + 1):
+            for t in range(inst.n):
+                start = len(calls)
+                want = root_bound(inst, clique)
+                if want == t - 1 and bound_reaches(inst, clique, t):
+                    want = t
+                mid = len(calls)
+                assert root_bound(inst, clique, lift_to=t) == want
+                assert len(calls) - mid <= mid - start
 
 
 def test_format_and_parse_solution(g6a):
